@@ -12,7 +12,12 @@ from pyspark.sql import SparkSession
 
 
 def get_spark(app_name: str) -> SparkSession:
-    """Session mirroring the test fixture's configuration."""
+    """The Spark SQL settings every entry point shares: the jobs, the
+    test fixture and the benchmark.
+
+    Broadcast joins are disabled so joins take the shuffle path at every
+    scale.
+    """
     return (
         SparkSession.builder.appName(app_name)
         .config("spark.sql.shuffle.partitions", "64")

@@ -24,13 +24,14 @@ from dataclasses import dataclass, field
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.features import with_velocity, with_volume
+from repro.core.features import LEARNED_FEATURES, with_learned_features
 from repro.core.kde import GaussianKDE
 
 
 @dataclass
 class FeatureDistributions:
-    """Fitted class-conditional distributions, keyed by class name."""
+    """Fitted class-conditional distributions, keyed by class name; one
+    field per name in :data:`~repro.core.features.LEARNED_FEATURES`."""
 
     volume: dict[str, GaussianKDE] = field(default_factory=dict)
     velocity: dict[str, GaussianKDE] = field(default_factory=dict)
@@ -56,17 +57,14 @@ def learn_feature_distributions(
     Returns:
         :class:`FeatureDistributions`.
     """
-    feats = with_volume(train_labels)
-    feats = with_velocity(
-        feats.withColumn("track_id", F.col("gt_track_id").cast("string"))
+    feats = with_learned_features(
+        train_labels.withColumn("track_id", F.col("gt_track_id").cast("string"))
     )
-    pdf = feats.select("cls", "volume", "velocity").toPandas()
+    pdf = feats.select("cls", *LEARNED_FEATURES).toPandas()
     fd = FeatureDistributions()
     for cls, grp in pdf.groupby("cls"):
-        vol = grp["volume"].dropna().to_numpy()
-        if vol.size >= min_samples:
-            fd.volume[cls] = dist_cls.fit(vol)
-        vel = grp["velocity"].dropna().to_numpy()
-        if vel.size >= min_samples:
-            fd.velocity[cls] = dist_cls.fit(vel)
+        for name in LEARNED_FEATURES:
+            values = grp[name].dropna().to_numpy()
+            if values.size >= min_samples:
+                getattr(fd, name)[cls] = dist_cls.fit(values)
     return fd

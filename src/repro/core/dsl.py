@@ -31,8 +31,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.association.iou import iou_numpy
-from repro.core.factor_graph import Factor, FactorGraph
-from repro.core.kde import EPS, GaussianKDE
+from repro.core.factor_graph import Factor, FactorGraph, aof_identity, aof_invert  # noqa: F401
+from repro.core.kde import GaussianKDE
 
 # --------------------------------------------------------------------
 # Scene model (Table 1: s = {τ}; τ = (β_0..β_n); β = {ω}).
@@ -158,18 +158,10 @@ class KDEObsDistribution(ObsDistribution):
 
 
 # --------------------------------------------------------------------
-# Application objective functions (§5.3).
+# Application objective functions (§5.3). ``aof_identity`` and
+# ``aof_invert`` come from :mod:`repro.core.factor_graph`, which the
+# Spark scoring path shares.
 # --------------------------------------------------------------------
-
-
-def aof_identity(x: float) -> float:
-    """Find likely components (e.g. missed-by-human tracks)."""
-    return x
-
-
-def aof_invert(x: float) -> float:
-    """f(x) = 1 − x — find unlikely components (e.g. ghost tracks)."""
-    return max(1.0 - x, EPS)
 
 
 def aof_zero_if(pred: Callable[[float], bool]) -> Callable[[float], float]:

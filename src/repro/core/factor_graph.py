@@ -17,6 +17,10 @@ its factors; a component's score is the total over its observations
 normalized by the number of factors connecting to the component. A
 factor whose AOF yields exactly zero removes the component (``ln 0 =
 −∞``); callers filter such components out, as the applications in §7 do.
+
+The paper's two numeric AOFs (§5.3) live here too. They are numpy
+expressions, so the same function transforms a scalar :class:`Factor`
+probability and a whole array of them in the Spark scoring UDF.
 """
 from __future__ import annotations
 
@@ -24,7 +28,19 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
+import numpy as np
+
 from repro.core.kde import EPS
+
+
+def aof_identity(x):
+    """Find likely components (e.g. tracks the human labelers missed)."""
+    return x
+
+
+def aof_invert(x):
+    """f(x) = 1 − x — find unlikely components (e.g. ghost tracks)."""
+    return np.maximum(1.0 - x, EPS)
 
 
 @dataclass
@@ -49,7 +65,7 @@ class Factor:
     name: str
     obs_ids: tuple[int, ...]
     p: float
-    aof: Callable[[float], float] = lambda x: x
+    aof: Callable[[float], float] = aof_identity
 
 
 @dataclass

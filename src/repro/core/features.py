@@ -14,6 +14,10 @@ Each is a pure ``DataFrame -> DataFrame``/aggregation expressed in the
 Spark SQL API so feature computation scales with partitions; the
 per-row math is Catalyst expressions, the transition feature a window
 function.
+
+Volume and velocity are the *learned* features: :data:`LEARNED_FEATURES`
+names them and :func:`with_learned_features` computes them, for both
+distribution learning (§5.2) and scoring (§6).
 """
 from __future__ import annotations
 
@@ -54,17 +58,14 @@ def with_velocity(df: DataFrame, track_col: str = "track_id") -> DataFrame:
     )
 
 
-def bundle_stats(df: DataFrame) -> DataFrame:
-    """Bundle-level aggregates: source composition per bundle.
+#: Features with a learned class-conditional distribution (Table 2), in
+#: the column names :func:`with_learned_features` gives them.
+LEARNED_FEATURES = ("volume", "velocity")
 
-    ``bundle_has_human`` implements the *model only* bundle feature's
-    raw ingredient (Table 2: "Selects bundles with model predictions
-    only").
-    """
-    return df.groupBy("scene_id", "frame_id", "bundle_id").agg(
-        F.max((F.col("source") == SOURCE_HUMAN).cast("int")).alias("bundle_has_human"),
-        F.count("*").alias("bundle_n_obs"),
-    )
+
+def with_learned_features(df: DataFrame, track_col: str = "track_id") -> DataFrame:
+    """Attach every column of :data:`LEARNED_FEATURES`."""
+    return with_velocity(with_volume(df), track_col)
 
 
 def track_stats(df: DataFrame) -> DataFrame:
@@ -73,11 +74,11 @@ def track_stats(df: DataFrame) -> DataFrame:
     ``track_n_obs`` feeds the *count* track feature (filter tracks with
     two or fewer observations); ``track_has_human`` feeds the
     missing-track AOF (zero any track containing a human proposal);
-    ``track_mean_conf`` feeds the confidence-ordered baseline.
+    ``track_mean_conf`` feeds the confidence-ordered baseline and
+    ``track_max_conf`` the §8.4 report of the most confident error found.
     """
     return df.groupBy("scene_id", "track_id").agg(
         F.count("*").alias("track_n_obs"),
-        F.countDistinct("frame_id").alias("track_n_frames"),
         F.max((F.col("source") == SOURCE_HUMAN).cast("int")).alias("track_has_human"),
         F.avg(
             F.when(F.col("source") == SOURCE_MODEL, F.col("confidence"))

@@ -3,8 +3,8 @@
 Fixy's default feature-distribution estimator is a kernel density
 estimator (§5.2: "By default, Fixy uses a kernel density estimator
 (KDE) to learn feature distributions"). Users can override with other
-distributions (e.g. discrete ones) — we provide :class:`Bernoulli` and
-:class:`Histogram` for that.
+distributions (e.g. discrete ones) — we provide :class:`Histogram` for
+that.
 
 All distributions here are pure-numpy and picklable so they can be
 broadcast to Spark executors and evaluated inside pandas UDFs.
@@ -93,31 +93,6 @@ class GaussianKDE:
     def relative_likelihood(self, x) -> np.ndarray:
         """``pdf(x) / max_pdf`` clipped into ``[EPS, 1]`` — rank-preserving."""
         return np.clip(self.pdf(x) / self.max_pdf, EPS, 1.0)
-
-    def log_relative_likelihood(self, x) -> np.ndarray:
-        """Convenience: ``ln`` of :meth:`relative_likelihood`."""
-        return np.log(self.relative_likelihood(x))
-
-
-@dataclass
-class Bernoulli:
-    """Bernoulli feature distribution for 0/1 features (paper §5.1's
-    class-agreement example: "learn the Bernoulli probability of the
-    class agreement between observation types")."""
-
-    p: float = 0.5
-
-    @classmethod
-    def fit(cls, values) -> "Bernoulli":
-        x = np.asarray(values, dtype=np.float64).ravel()
-        if x.size == 0:
-            raise ValueError("cannot fit a Bernoulli to zero values")
-        return cls(p=float(np.clip(x.mean(), EPS, 1 - EPS)))
-
-    def relative_likelihood(self, x) -> np.ndarray:
-        """P(X = x) — already a probability, so no normalization."""
-        x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        return np.clip(np.where(x >= 0.5, self.p, 1.0 - self.p), EPS, 1.0)
 
 
 @dataclass

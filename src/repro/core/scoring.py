@@ -13,16 +13,17 @@ aggregation: ``sum(logp) / count(logp)`` over all non-null feature-logp
 entries, which equals the mean over connected factors (null feature
 values contribute no factor). Ranking is a window function per scene.
 
-AOFs here are the paper's two numeric forms — ``identity`` (find likely
-components, e.g. consistent model-only tracks = probable missing
-labels) and ``invert`` (``f(x) = 1 − x``; find *unlikely* components,
-e.g. erroneous model predictions, §7) — plus zero-out filters, which
-are implemented as DataFrame filters since ``ln 0`` removes a component
+AOFs are the paper's two numeric forms from
+:mod:`repro.core.factor_graph` — ``aof_identity`` (find likely
+components, e.g. consistent model-only tracks = probable missing labels)
+and ``aof_invert`` (``f(x) = 1 − x``; find *unlikely* components, e.g.
+erroneous model predictions, §7) — plus zero-out filters, which are
+implemented as DataFrame filters since ``ln 0`` removes a component
 outright.
 """
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 import pandas as pd
@@ -31,20 +32,21 @@ from pyspark.sql import functions as F
 from pyspark.sql.functions import pandas_udf
 
 from repro.core.distributions import FeatureDistributions
-from repro.core.kde import EPS
+from repro.core.factor_graph import aof_identity
+from repro.core.features import LEARNED_FEATURES, with_learned_features
 
-AOFS = ("identity", "invert")
+#: The factor columns :func:`with_feature_logps` attaches.
+LEARNED_LOGPS = tuple(f"{name}_logp" for name in LEARNED_FEATURES)
 
 
-def make_logp_udf(dists_by_cls: Mapping[str, object], aof: str = "identity"):
-    """Build a pandas UDF ``(cls, value) -> ln(AOF(p(value)))``.
+def make_logp_udf(dists_by_cls: Mapping[str, object], aof: Callable = aof_identity):
+    """Build a pandas UDF ``(cls, value) -> ln(aof(p(value)))``.
 
     ``dists_by_cls`` maps class name to a fitted distribution exposing
     ``relative_likelihood``; rows whose class has no distribution, or
-    whose value is null/non-finite, yield null (no factor).
+    whose value is null/non-finite, yield null (no factor). ``aof`` is
+    applied to numpy arrays of ``p``.
     """
-    if aof not in AOFS:
-        raise ValueError(f"unknown AOF {aof!r}; expected one of {AOFS}")
     dists = dict(dists_by_cls)
 
     @pandas_udf("double")
@@ -54,33 +56,23 @@ def make_logp_udf(dists_by_cls: Mapping[str, object], aof: str = "identity"):
         for c, d in dists.items():
             m = (cls == c).to_numpy() & np.isfinite(v)
             if m.any():
-                p = d.relative_likelihood(v[m])
-                if aof == "invert":
-                    p = np.clip(1.0 - p, EPS, 1.0)
-                out[m] = np.log(p)
+                out[m] = np.log(aof(d.relative_likelihood(v[m])))
         return pd.Series(out)
 
     return logp
 
 
 def with_feature_logps(
-    df: DataFrame, fd: FeatureDistributions, aof: str = "identity"
+    df: DataFrame, fd: FeatureDistributions, aof: Callable = aof_identity
 ) -> DataFrame:
-    """Attach ``volume_logp`` and ``velocity_logp`` columns.
-
-    Requires ``volume``/``velocity`` feature columns (see
-    :mod:`repro.core.features`).
-    """
-    out = df
-    if fd.volume:
-        out = out.withColumn(
-            "volume_logp", make_logp_udf(fd.volume, aof)(F.col("cls"), F.col("volume"))
-        )
-    if fd.velocity:
-        out = out.withColumn(
-            "velocity_logp",
-            make_logp_udf(fd.velocity, aof)(F.col("cls"), F.col("velocity")),
-        )
+    """Compute the learned features of tracked observations ``df`` and
+    attach a ``<feature>_logp`` column for each feature ``fd`` has
+    distributions for."""
+    out = with_learned_features(df)
+    for name in LEARNED_FEATURES:
+        if dists := getattr(fd, name):
+            logp = make_logp_udf(dists, aof)(F.col("cls"), F.col(name))
+            out = out.withColumn(f"{name}_logp", logp)
     return out
 
 
@@ -100,7 +92,7 @@ def with_distance_logp(df: DataFrame, scale_m: float = 50.0) -> DataFrame:
 def score_components(
     df: DataFrame,
     group_cols: Sequence[str],
-    logp_cols: Sequence[str] = ("volume_logp", "velocity_logp"),
+    logp_cols: Sequence[str] = LEARNED_LOGPS,
 ) -> DataFrame:
     """Aggregate observation-level factor log-probs into component
     scores: ``score = Σ logp / #non-null logps`` (paper §6's

@@ -35,20 +35,17 @@ from repro.baselines.model_assertions import (
 )
 from repro.baselines.uncertainty import rank_by_uncertainty
 from repro.core.distributions import FeatureDistributions, learn_feature_distributions
-from repro.core.features import (
-    track_stats,
-    with_distance,
-    with_velocity,
-    with_volume,
-)
+from repro.core.factor_graph import aof_invert
+from repro.core.features import track_stats, with_distance
 from repro.core.schema import ERR_NONE, SOURCE_MODEL
 from repro.core.scoring import (
+    LEARNED_LOGPS,
     rank_components,
     score_components,
     with_distance_logp,
     with_feature_logps,
 )
-from repro.eval.metrics import mean_scene_precision_at_k, precision_at_k
+from repro.eval.metrics import mean_scene_precision_at_k, precision_at_k, recall
 from repro.perception.datasets import (
     CONFIGS,
     INTERNAL_AUDIT_SCENE,
@@ -84,6 +81,14 @@ def prepare(spark: SparkSession, name: str, scale: float = 1.0) -> Prepared:
 # --------------------------------------------------------------------
 
 
+def _missing_tracks(prep: Prepared, spark: SparkSession) -> DataFrame:
+    """The manifest's injected missing tracks as ``(scene_id, gt_track_id)``."""
+    mt = prep.ds.manifest.missing_tracks
+    return spark.createDataFrame(
+        mt[["scene_id", "gt_track_id"]], schema="scene_id string, gt_track_id long"
+    )
+
+
 def _track_truth(prep: Prepared, spark: SparkSession) -> DataFrame:
     """Per-track evaluation labels: the majority ground-truth object the
     track follows, its error composition, and whether that object is an
@@ -94,10 +99,7 @@ def _track_truth(prep: Prepared, spark: SparkSession) -> DataFrame:
         F.mode("cls").alias("maj_cls"),
         F.avg((F.col("err_type") != ERR_NONE).cast("double")).alias("err_frac"),
     )
-    mt = prep.ds.manifest.missing_tracks
-    miss = spark.createDataFrame(
-        mt[["scene_id", "gt_track_id"]], schema="scene_id string, gt_track_id long"
-    ).withColumnRenamed("gt_track_id", "maj_gt")
+    miss = _missing_tracks(prep, spark).withColumnRenamed("gt_track_id", "maj_gt")
     return maj.join(
         miss.withColumn("is_missing", F.lit(True)), ["scene_id", "maj_gt"], "left"
     ).fillna({"is_missing": False})
@@ -108,18 +110,10 @@ def _dedupe_errors(pdf: pd.DataFrame, rank_col: str = "rank") -> pd.DataFrame:
     first-ranked flag stays a true positive, repeats become false
     positives — matching how an auditor would score duplicate reports."""
     pdf = pdf.sort_values(["scene_id", rank_col]).copy()
-    seen: set[tuple] = set()
-    flags = []
-    for _, row in pdf.iterrows():
-        ok = bool(row["is_error"])
-        if ok:
-            key = (row["scene_id"], row["maj_gt"])
-            if key in seen:
-                ok = False
-            else:
-                seen.add(key)
-        flags.append(ok)
-    pdf["is_error"] = flags
+    pdf["is_error"] = pdf["is_error"].astype(bool)
+    errors = pdf[pdf["is_error"]]
+    repeats = errors.index[errors.duplicated(["scene_id", "maj_gt"])]
+    pdf.loc[repeats, "is_error"] = False
     return pdf
 
 
@@ -138,12 +132,9 @@ def fixy_missing_track_candidates(prep: Prepared) -> DataFrame:
     are scored by mean ``ln p`` and ranked per scene, highest first
     ("consistent predictions from the model are likely to be correct").
     """
-    obs = with_velocity(with_distance(with_volume(prep.tracked)))
-    scored = with_distance_logp(with_feature_logps(obs, prep.fd, aof="identity"))
+    scored = with_distance_logp(with_feature_logps(with_distance(prep.tracked), prep.fd))
     tscores = score_components(
-        scored,
-        ["scene_id", "track_id"],
-        ("volume_logp", "velocity_logp", "distance_logp"),
+        scored, ["scene_id", "track_id"], (*LEARNED_LOGPS, "distance_logp")
     )
     stats = track_stats(prep.tracked)
     cand = tscores.join(stats, ["scene_id", "track_id"]).where(
@@ -249,7 +240,7 @@ def run_recall(spark: SparkSession, scale: float = 1.0, prep: Prepared | None = 
     return {
         "n_injected": len(injected),
         "n_found": len(found & injected),
-        "recall": len(found & injected) / len(injected) if injected else None,
+        "recall": recall(found, injected),
     }
 
 
@@ -267,8 +258,7 @@ def run_missing_obs(spark: SparkSession, scale: float = 1.0, prep: Prepared | No
     tracks are ranked by likelihood, dataset-wide.
     """
     prep = prep or prepare(spark, "lyft", scale)
-    obs = with_velocity(with_volume(prep.tracked))
-    scored = with_feature_logps(obs, prep.fd, aof="identity")
+    scored = with_feature_logps(prep.tracked, prep.fd)
     stats = track_stats(prep.tracked)
     human_tracks = stats.where(F.col("track_has_human") == 1).select(
         "scene_id", "track_id"
@@ -289,11 +279,7 @@ def run_missing_obs(spark: SparkSession, scale: float = 1.0, prep: Prepared | No
         .where(F.col("bh") == 0)
         .join(weak, "obs_id", "left_anti")
     )
-    bscores = score_components(
-        cand_obs,
-        ["scene_id", "track_id", "frame_id", "bundle_id"],
-        ("volume_logp", "velocity_logp"),
-    )
+    bscores = score_components(cand_obs, ["scene_id", "track_id", "frame_id", "bundle_id"])
     # Truth: the bundle holds the model observation of the dropped frame.
     mo = prep.ds.manifest.missing_obs
     miss = spark.createDataFrame(
@@ -304,10 +290,7 @@ def run_missing_obs(spark: SparkSession, scale: float = 1.0, prep: Prepared | No
     # they are genuine labeling errors, but of the §8.2 missing-track
     # kind, so they are reported separately rather than counted as
     # false positives here.
-    mt = prep.ds.manifest.missing_tracks
-    miss_tracks = spark.createDataFrame(
-        mt[["scene_id", "gt_track_id"]], schema="scene_id string, gt_track_id long"
-    ).withColumn("from_missing_track", F.lit(True))
+    miss_tracks = _missing_tracks(prep, spark).withColumn("from_missing_track", F.lit(True))
     flagged = (
         bscores.join(
             prep.tracked.where(F.col("source") == SOURCE_MODEL).select(
@@ -380,11 +363,8 @@ def run_model_errors(
         .unionByName(multibox_flags(tracked))
         .distinct()
     )
-    obs = with_velocity(with_volume(tracked))
-    scored = with_feature_logps(obs, prep.fd, aof="invert")
-    tscores = score_components(
-        scored, ["scene_id", "track_id"], ("volume_logp", "velocity_logp")
-    )
+    scored = with_feature_logps(tracked, prep.fd, aof=aof_invert)
+    tscores = score_components(scored, ["scene_id", "track_id"])
     stats = track_stats(tracked)
     cand = (
         tscores.join(stats, ["scene_id", "track_id"])
@@ -392,8 +372,7 @@ def run_model_errors(
         .where(F.col("_ex").isNull() & (F.col("track_n_obs") >= MIN_TRACK_OBS))
     )
     truth = tracked.groupBy("scene_id", "track_id").agg(
-        F.avg((F.col("err_type") != ERR_NONE).cast("double")).alias("err_frac"),
-        F.max("confidence").alias("max_conf"),
+        F.avg((F.col("err_type") != ERR_NONE).cast("double")).alias("err_frac")
     )
     ranked = (
         cand.join(truth, ["scene_id", "track_id"])
@@ -405,7 +384,7 @@ def run_model_errors(
     fixy_top = ranked.head(k)
     fixy_p = precision_at_k(fixy_top["is_error"], k)
     found_errors = fixy_top[fixy_top["is_error"]]
-    max_conf_found = float(found_errors["max_conf"].max()) if not found_errors.empty else None
+    max_conf_found = float(found_errors["track_max_conf"].max()) if not found_errors.empty else None
 
     unc = rank_by_uncertainty(model_obs).where(F.col("rank") <= k).toPandas()
     unc_p = precision_at_k((unc.sort_values("rank")["err_type"] != ERR_NONE), k)

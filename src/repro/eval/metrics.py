@@ -7,15 +7,11 @@ denominator is ``min(k, n_flagged)``), averaged over the scenes where
 errors were discovered.
 
 Rankings are small (tens of tracks per scene), so metric arithmetic is
-pandas on the driver; :func:`spark_precision_at_k` provides the same
-computation as a Spark aggregation so the DuckDB oracle can pin the
-semantics in tests.
+pandas on the driver.
 """
 from __future__ import annotations
 
 import pandas as pd
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 
 def precision_at_k(flags: pd.Series | list, k: int) -> float | None:
@@ -51,23 +47,6 @@ def mean_scene_precision_at_k(
         if p is not None:
             per_scene.append(p)
     return float(pd.Series(per_scene).mean()) if per_scene else None
-
-
-def spark_precision_at_k(ranked: DataFrame, k: int) -> DataFrame:
-    """Per-scene precision@k as a Spark aggregation (oracle-checkable).
-
-    ``ranked`` needs ``scene_id``, ``rank`` (1-based, dense per scene)
-    and boolean ``is_error``. Returns ``(scene_id, precision)``.
-    """
-    top = ranked.where(F.col("rank") <= k)
-    return (
-        top.groupBy("scene_id")
-        .agg(
-            (
-                F.sum(F.col("is_error").cast("double")) / F.count("*")
-            ).alias("precision")
-        )
-    )
 
 
 def recall(found: set, truth: set) -> float | None:

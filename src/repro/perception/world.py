@@ -6,9 +6,9 @@ with constant-velocity-plus-noise kinematics, and exist for a
 contiguous span of frames (some spans are short, like the paper's
 occluded motorcycle in Figure 4).
 
-Generation is driver-side numpy/pandas (same pattern as
-``repro.synth_data``): scenes are small and generation must be exactly
-reproducible; all *processing* downstream is Spark dataflow.
+Generation is driver-side numpy/pandas: scenes are small and
+generation must be exactly reproducible; all *processing* downstream is
+Spark dataflow.
 """
 from __future__ import annotations
 

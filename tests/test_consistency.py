@@ -10,10 +10,9 @@ import math
 import numpy as np
 import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
 from repro.core.distributions import FeatureDistributions
-from repro.core.factor_graph import Factor, FactorGraph
+from repro.core.factor_graph import Factor, FactorGraph, aof_identity, aof_invert
 from repro.core.kde import GaussianKDE
 from repro.core.scoring import score_components, with_feature_logps
 from tests.util import make_obs_df
@@ -52,7 +51,9 @@ def dists():
 
 
 @pytest.mark.parametrize("seed", range(6))
-@pytest.mark.parametrize("aof", ["identity", "invert"])
+@pytest.mark.parametrize(
+    "aof", [aof_identity, aof_invert], ids=lambda f: f.__name__.removeprefix("aof_")
+)
 def test_spark_scoring_equals_factor_graph(spark, dists, seed, aof):
     rows = _random_scene(seed)
     track_of = {r["obs_id"]: r["track"] for r in rows}
@@ -63,10 +64,7 @@ def test_spark_scoring_equals_factor_graph(spark, dists, seed, aof):
         pd.DataFrame({"obs_id": list(track_of), "track_id": list(track_of.values())})
     )
     df = df.join(track_map, "obs_id")
-    from repro.core.features import with_velocity, with_volume
-
-    feat = with_velocity(with_volume(df))
-    scored = with_feature_logps(feat, dists, aof=aof)
+    scored = with_feature_logps(df, dists, aof=aof)
     got = {
         r["track_id"]: r["score"]
         for r in score_components(scored, ["track_id"]).collect()
@@ -76,7 +74,6 @@ def test_spark_scoring_equals_factor_graph(spark, dists, seed, aof):
     g = FactorGraph()
     for r in rows:
         g.add_observation(r["obs_id"])
-    aof_fn = (lambda x: x) if aof == "identity" else (lambda x: max(1 - x, 1e-12))
     by_track: dict[str, list[dict]] = {}
     for r in rows:
         by_track.setdefault(r["track"], []).append(r)
@@ -85,13 +82,13 @@ def test_spark_scoring_equals_factor_graph(spark, dists, seed, aof):
         for i, r in enumerate(obs_list):
             vol = r["length"] * r["width"] * r["height"]
             p = float(dists.volume["car"].relative_likelihood([vol])[0])
-            g.add_factor(Factor("volume", (r["obs_id"],), p, aof=aof_fn))
+            g.add_factor(Factor("volume", (r["obs_id"],), p, aof=aof))
             if i > 0:
                 prev = obs_list[i - 1]
                 dt = (r["frame_id"] - prev["frame_id"]) * 0.2
                 v = math.hypot(r["cx"] - prev["cx"], r["cy"] - prev["cy"]) / dt
                 pv = float(dists.velocity["car"].relative_likelihood([v])[0])
-                g.add_factor(Factor("velocity", (r["obs_id"],), pv, aof=aof_fn))
+                g.add_factor(Factor("velocity", (r["obs_id"],), pv, aof=aof))
     expected = {
         trk: g.score([r["obs_id"] for r in obs_list])
         for trk, obs_list in by_track.items()

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core.features import (
-    bundle_stats,
-    track_stats,
-    with_distance,
-    with_velocity,
-    with_volume,
-)
+from repro.core.features import track_stats, with_distance, with_velocity, with_volume
 from repro.oracle import assert_equivalent
 from tests.util import make_obs_df, make_obs_rows
 
@@ -110,17 +104,15 @@ class TestVelocity:
 class TestStats:
     def _df(self, spark):
         rows = [
-            # track a: human+model pair and one model-only frame.
+            # track a: a human and a model box, then one model-only frame.
             {"obs_id": 0, "frame_id": 0, "source": "human", "confidence": 1.0},
             {"obs_id": 1, "frame_id": 0, "source": "model", "confidence": 0.8},
             {"obs_id": 2, "frame_id": 1, "source": "model", "confidence": 0.6},
             # track b: model only.
             {"obs_id": 3, "frame_id": 0, "source": "model", "confidence": 0.4, "cx": 30.0},
         ]
-        df = make_obs_df(spark, rows)
         track = F.when(F.col("obs_id") <= 2, "a").otherwise("b")
-        bundle = F.when(F.col("obs_id") <= 1, F.lit(0)).otherwise(F.col("obs_id"))
-        return df.withColumn("track_id", track).withColumn("bundle_id", bundle)
+        return make_obs_df(spark, rows).withColumn("track_id", track)
 
     def test_track_stats_values(self, spark):
         got = {r["track_id"]: r for r in track_stats(self._df(spark)).collect()}
@@ -130,11 +122,6 @@ class TestStats:
         assert got["a"]["track_max_conf"] == pytest.approx(0.8)
         assert got["b"]["track_has_human"] == 0
         assert got["b"]["track_mean_conf"] == pytest.approx(0.4)
-
-    def test_bundle_stats_values(self, spark):
-        got = {r["bundle_id"]: r for r in bundle_stats(self._df(spark)).collect()}
-        assert got[0]["bundle_has_human"] == 1 and got[0]["bundle_n_obs"] == 2
-        assert got[2]["bundle_has_human"] == 0 and got[2]["bundle_n_obs"] == 1
 
     def test_track_stats_oracle(self, spark):
         rng = np.random.default_rng(4)

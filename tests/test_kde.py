@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.core.kde import EPS, Bernoulli, GaussianKDE, Histogram
+from repro.core.kde import EPS, GaussianKDE, Histogram
 
 
 class TestGaussianKDE:
@@ -38,13 +38,6 @@ class TestGaussianKDE:
         kde = GaussianKDE.fit(np.random.default_rng(3).normal(0, 1, 300))
         vals = kde.relative_likelihood(np.linspace(-20, 20, 500))
         assert np.all(vals >= EPS) and np.all(vals <= 1.0)
-
-    def test_log_relative_likelihood_matches(self):
-        kde = GaussianKDE.fit(np.random.default_rng(4).uniform(0, 5, 200))
-        x = np.linspace(-1, 6, 50)
-        np.testing.assert_allclose(
-            kde.log_relative_likelihood(x), np.log(kde.relative_likelihood(x))
-        )
 
     def test_degenerate_constant_sample(self):
         kde = GaussianKDE.fit(np.full(50, 7.0))
@@ -88,27 +81,6 @@ class TestGaussianKDE:
         kde2 = pickle.loads(pickle.dumps(kde))
         x = np.linspace(-2, 2, 11)
         np.testing.assert_allclose(kde.pdf(x), kde2.pdf(x))
-
-
-class TestBernoulli:
-    def test_fit_empty_raises(self):
-        with pytest.raises(ValueError):
-            Bernoulli.fit([])
-
-    @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
-    def test_fit_recovers_rate(self, p):
-        rng = np.random.default_rng(12)
-        b = Bernoulli.fit((rng.random(5000) < p).astype(float))
-        assert b.p == pytest.approx(p, abs=0.03)
-
-    def test_likelihood_of_each_outcome(self):
-        b = Bernoulli(p=0.8)
-        assert b.relative_likelihood([1.0])[0] == pytest.approx(0.8)
-        assert b.relative_likelihood([0.0])[0] == pytest.approx(0.2)
-
-    def test_degenerate_rate_clipped(self):
-        b = Bernoulli.fit(np.ones(100))
-        assert 0 < b.p < 1
 
 
 class TestHistogram:

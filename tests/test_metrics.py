@@ -1,15 +1,8 @@
-"""Unit tests for evaluation metrics, including an oracle check of the
-Spark precision aggregation."""
+"""Unit tests for evaluation metrics."""
 import pandas as pd
 import pytest
 
-from repro.eval.metrics import (
-    mean_scene_precision_at_k,
-    precision_at_k,
-    recall,
-    spark_precision_at_k,
-)
-from repro.oracle import assert_equivalent
+from repro.eval.metrics import mean_scene_precision_at_k, precision_at_k, recall
 
 
 class TestPrecisionAtK:
@@ -59,27 +52,6 @@ class TestMeanScenePrecision:
     def test_empty_none(self):
         got = mean_scene_precision_at_k(self._ranked().iloc[0:0], 10)
         assert got is None
-
-
-class TestSparkPrecision:
-    def test_matches_pandas(self, spark):
-        pdf = pd.DataFrame(
-            {
-                "scene_id": ["a"] * 12 + ["b"] * 8,
-                "rank": list(range(1, 13)) + list(range(1, 9)),
-                "is_error": [i % 3 == 0 for i in range(12)] + [i % 2 == 0 for i in range(8)],
-            }
-        )
-        got = spark_precision_at_k(spark.createDataFrame(pdf), 10)
-        assert_equivalent(
-            got,
-            """
-            SELECT scene_id,
-                   sum(CASE WHEN is_error THEN 1.0 ELSE 0 END) / count(*) AS precision
-            FROM r WHERE rank <= 10 GROUP BY scene_id
-            """,
-            r=pdf,
-        )
 
 
 class TestRecall:

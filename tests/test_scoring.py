@@ -5,6 +5,7 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.core.distributions import FeatureDistributions
+from repro.core.factor_graph import aof_identity, aof_invert
 from repro.core.kde import EPS, GaussianKDE
 from repro.core.scoring import (
     make_logp_udf,
@@ -14,7 +15,7 @@ from repro.core.scoring import (
     with_feature_logps,
 )
 from repro.oracle import assert_equivalent
-from tests.util import make_obs_df, make_obs_rows
+from tests.util import make_obs_df
 
 
 @pytest.fixture(scope="module")
@@ -59,22 +60,18 @@ class TestLogpUdf:
 
     def test_invert_aof(self, spark, car_kde):
         df = spark.createDataFrame(pd.DataFrame({"cls": ["car"], "v": [13.7]}))
-        udf = make_logp_udf({"car": car_kde}, aof="invert")
+        udf = make_logp_udf({"car": car_kde}, aof=aof_invert)
         got = df.select(udf(F.col("cls"), F.col("v")).alias("lp")).first()["lp"]
         p = car_kde.relative_likelihood([13.7])[0]
         assert got == pytest.approx(np.log(max(1 - p, EPS)))
-
-    def test_bad_aof_raises(self, car_kde):
-        with pytest.raises(ValueError):
-            make_logp_udf({"car": car_kde}, aof="square")
 
     def test_identity_and_invert_rank_oppositely(self, spark, car_kde):
         vals = [13.7, 30.0]
         df = spark.createDataFrame(
             pd.DataFrame({"cls": ["car"] * 2, "v": vals, "i": range(2)})
         )
-        ident = make_logp_udf({"car": car_kde}, "identity")
-        inv = make_logp_udf({"car": car_kde}, "invert")
+        ident = make_logp_udf({"car": car_kde}, aof_identity)
+        inv = make_logp_udf({"car": car_kde}, aof_invert)
         got = (
             df.withColumn("a", ident(F.col("cls"), F.col("v")))
             .withColumn("b", inv(F.col("cls"), F.col("v")))
@@ -86,13 +83,12 @@ class TestLogpUdf:
 
 class TestWithFeatureLogps:
     def test_adds_columns(self, spark, fd):
-        df = make_obs_df(spark, [{"obs_id": 0}]).withColumn("volume", F.lit(13.7)) \
-            .withColumn("velocity", F.lit(5.0))
+        df = make_obs_df(spark, [{"obs_id": 0}]).withColumn("track_id", F.lit("t0"))
         out = with_feature_logps(df, fd)
-        assert {"volume_logp", "velocity_logp"} <= set(out.columns)
+        assert {"volume", "velocity", "volume_logp", "velocity_logp"} <= set(out.columns)
 
     def test_empty_distributions_no_columns(self, spark):
-        df = make_obs_df(spark, [{"obs_id": 0}])
+        df = make_obs_df(spark, [{"obs_id": 0}]).withColumn("track_id", F.lit("t0"))
         out = with_feature_logps(df, FeatureDistributions())
         assert "volume_logp" not in out.columns
 
