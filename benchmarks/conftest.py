@@ -6,15 +6,14 @@ learning, association) is shared across benchmarks via session fixtures
 so each benchmark times its experiment's dataflow, and single-round
 pedantic mode keeps wall-clock sane (each round is a full Spark job).
 """
+import os
+
 import pytest
 
 from repro.eval import harness
 
-#: Paper scale. Override with REPRO_BENCH_SCALE for quicker local runs.
-import os
-
-BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
-
+#: Paper scale.
+BENCH_SCALE = 1.0
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 

@@ -28,10 +28,26 @@ DEFAULT_IOU_THRESHOLD = 0.5
 COARSE_RADIUS_M = 10.0
 
 
-def _prefixed(df: DataFrame, source: str, prefix: str) -> DataFrame:
-    sel = [F.col("scene_id"), F.col("frame_id")]
-    sel += [F.col(c).alias(prefix + c) for c in ("obs_id", *BOX_COLS)]
-    return df.where(F.col("source") == source).select(*sel)
+def _candidate_pairs(obs: DataFrame, iou_threshold: float) -> DataFrame:
+    """Human×model pairs of the same ``(scene_id, frame_id)`` whose
+    ``iou`` exceeds ``iou_threshold``; a coarse centre band prunes the
+    join before the exact IOU is computed."""
+    validate_observations(obs)
+
+    def side(source: str, prefix: str) -> DataFrame:
+        sel = [F.col(c).alias(prefix + c) for c in ("obs_id", *BOX_COLS)]
+        return obs.where(F.col("source") == source).select("scene_id", "frame_id", *sel)
+
+    return (
+        side(SOURCE_HUMAN, "h_")
+        .join(side(SOURCE_MODEL, "m_"), on=["scene_id", "frame_id"])
+        .where(
+            (F.abs(F.col("h_cx") - F.col("m_cx")) < COARSE_RADIUS_M)
+            & (F.abs(F.col("h_cy") - F.col("m_cy")) < COARSE_RADIUS_M)
+        )
+        .withColumn("iou", iou_expr("h_", "m_"))
+        .where(F.col("iou") > iou_threshold)
+    )
 
 
 def match_human_model(
@@ -43,18 +59,7 @@ def match_human_model(
         DataFrame ``(scene_id, frame_id, h_obs_id, m_obs_id, iou)`` with
         at most one row per human observation and per model observation.
     """
-    validate_observations(obs)
-    h = _prefixed(obs, SOURCE_HUMAN, "h_")
-    m = _prefixed(obs, SOURCE_MODEL, "m_")
-    pairs = (
-        h.join(m, on=["scene_id", "frame_id"])
-        .where(
-            (F.abs(F.col("h_cx") - F.col("m_cx")) < COARSE_RADIUS_M)
-            & (F.abs(F.col("h_cy") - F.col("m_cy")) < COARSE_RADIUS_M)
-        )
-        .withColumn("iou", iou_expr("h_", "m_"))
-        .where(F.col("iou") > iou_threshold)
-    )
+    pairs = _candidate_pairs(obs, iou_threshold)
     # Mutual-best: keep a pair only if it is each side's top match.
     # Ties break on the partner's id so the matching is deterministic.
     by_model = Window.partitionBy("scene_id", "frame_id", "m_obs_id").orderBy(
@@ -84,16 +89,8 @@ def overlapping_model_obs(
     Returns:
         DataFrame with a single ``obs_id`` column (distinct model ids).
     """
-    validate_observations(obs)
-    h = _prefixed(obs, SOURCE_HUMAN, "h_")
-    m = _prefixed(obs, SOURCE_MODEL, "m_")
     return (
-        m.join(h, on=["scene_id", "frame_id"])
-        .where(
-            (F.abs(F.col("h_cx") - F.col("m_cx")) < COARSE_RADIUS_M)
-            & (F.abs(F.col("h_cy") - F.col("m_cy")) < COARSE_RADIUS_M)
-        )
-        .where(iou_expr("h_", "m_") > iou_threshold)
+        _candidate_pairs(obs, iou_threshold)
         .select(F.col("m_obs_id").alias("obs_id"))
         .distinct()
     )

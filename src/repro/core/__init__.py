@@ -9,7 +9,7 @@ Subpackage layout:
   learned features.
 - :mod:`repro.core.distributions` — offline distribution learning.
 - :mod:`repro.core.scoring` — online scoring + ranking dataflow.
-- :mod:`repro.core.factor_graph` — reference factor-graph semantics and
-  the AOFs that the scoring dataflow and the DSL share.
-- :mod:`repro.core.dsl` — user-facing LOA API from the paper's §3.
+- :mod:`repro.core.factor_graph` — reference factor-graph semantics, the
+  AOFs the scoring dataflow shares, and ``compile_scene``, which builds
+  the reference graph from the same fitted distributions.
 """

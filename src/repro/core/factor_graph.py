@@ -7,10 +7,13 @@ applications; a factor over a group (bundle/track) gets one edge to
 each observation in the group.
 
 This module is the *literal*, driver-side implementation of those
-semantics on small scenes. The production path
-(:mod:`repro.core.scoring`) computes the same quantity as grouped Spark
-aggregation; a property-based test asserts the two agree on random
-scenes, so the scalable dataflow is pinned to the formal semantics.
+semantics on small scenes. :func:`compile_scene` builds the graph for a
+scene of tracked observations from the same fitted
+``FeatureDistributions`` and AOF objects the production path
+(:mod:`repro.core.scoring`) uses; that path computes the same quantity
+as grouped Spark aggregation, and a property-based test asserts the two
+agree on random scenes, so the scalable dataflow is pinned to the
+formal semantics.
 
 Scoring (§6): an observation's score is the sum of ``ln(AOF(p))`` over
 its factors; a component's score is the total over its observations
@@ -29,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 import numpy as np
+import pandas as pd
 
 from repro.core.kde import EPS
 
@@ -114,3 +118,29 @@ class FactorGraph:
             if s is not None and s != -math.inf:
                 scored.append((name, s))
         return sorted(scored, key=lambda kv: (-kv[1], kv[0]))
+
+
+def compile_scene(obs: pd.DataFrame, fd, aof: Callable = aof_identity) -> FactorGraph:
+    """Compile tracked observations into a factor graph (paper §4.3).
+
+    ``obs`` holds canonical observation rows plus ``track_id``; ``fd``
+    is a fitted ``FeatureDistributions``. Every observation gets a node.
+    It gets a ``volume`` factor, and a ``velocity`` factor when an
+    earlier observation of the same ``(track_id, source)`` precedes it
+    in time, if its class has a distribution for that feature. The
+    features are computed here, independently of the Spark column
+    expressions they are checked against.
+    """
+    g = FactorGraph()
+    prev = {}
+    for r in obs.sort_values("frame_id", kind="stable").itertuples():
+        g.add_observation(r.obs_id)
+        feats = {"volume": r.length * r.width * r.height}
+        if (q := prev.get((r.track_id, r.source))) is not None and r.t > q.t:
+            feats["velocity"] = math.hypot(r.cx - q.cx, r.cy - q.cy) / (r.t - q.t)
+        prev[(r.track_id, r.source)] = r
+        for name, value in feats.items():
+            if (dist := getattr(fd, name).get(r.cls)) is not None:
+                p = float(dist.relative_likelihood([value])[0])
+                g.add_factor(Factor(name, (r.obs_id,), p, aof))
+    return g

@@ -116,11 +116,8 @@ def score_components(
     )
 
 
-def rank_components(
-    scored: DataFrame, partition_cols: Sequence[str] = ("scene_id",)
-) -> DataFrame:
-    """Attach a 1-based ``rank`` by descending score (ties broken by the
-    component id columns for determinism) within each partition."""
-    order = [F.desc("score")] + [F.asc(c) for c in scored.columns if c not in ("score", "n_factors", *partition_cols)]
-    w = Window.partitionBy(*partition_cols).orderBy(*order)
+def rank_components(scored: DataFrame) -> DataFrame:
+    """Attach a 1-based ``rank`` per scene by descending score, ties
+    broken by ``track_id`` for determinism."""
+    w = Window.partitionBy("scene_id").orderBy(F.desc("score"), F.asc("track_id"))
     return scored.withColumn("rank", F.row_number().over(w))

@@ -192,17 +192,20 @@ def run_missing_tracks_prepared(
         scenes = sorted(ma_pdf.loc[ma_pdf["is_error"], "scene_id"].unique())
 
     out: dict = {"dataset": name, "n_scenes_with_errors": len(scenes)}
-    for label, pdf in (("fixy", fixy_pdf), ("ma_rand", ma_rand), ("ma_conf", ma_conf)):
-        deduped = _dedupe_errors(pdf)
+    fixy_deduped = _dedupe_errors(fixy_pdf)
+    for label, deduped in (
+        ("fixy", fixy_deduped),
+        ("ma_rand", _dedupe_errors(ma_rand)),
+        ("ma_conf", _dedupe_errors(ma_conf)),
+    ):
         for k in ks:
             out[f"{label}_p{k}"] = mean_scene_precision_at_k(deduped, k, scenes=scenes)
     # Scene-level hit rate (§8.2: "LOA found errors in 100% of the
     # scenes with errors in the top 10 ranked errors").
-    deduped = _dedupe_errors(fixy_pdf)
     hits = sum(
         1
         for s in scenes
-        if not (g := deduped[deduped["scene_id"] == s]).empty
+        if not (g := fixy_deduped[fixy_deduped["scene_id"] == s]).empty
         and g.sort_values("rank")["is_error"].head(10).any()
     )
     out["fixy_scene_hit_rate"] = hits / len(scenes) if scenes else None

@@ -3,49 +3,58 @@ computes exactly the reference factor-graph semantics
 (repro.core.factor_graph) on randomly generated scenes.
 
 This is the load-bearing correctness test for the reproduction: the
-scaled pipeline and the paper's formal §6 semantics must agree.
+scaled pipeline and the paper's formal §6 semantics must agree. Both
+sides consume the same fitted distributions and AOF objects; the
+reference graph comes from ``factor_graph.compile_scene``.
 """
-import math
-
 import numpy as np
-import pandas as pd
 import pytest
 
 from repro.core.distributions import FeatureDistributions
-from repro.core.factor_graph import Factor, FactorGraph, aof_identity, aof_invert
+from repro.core.factor_graph import aof_identity, aof_invert, compile_scene
 from repro.core.kde import GaussianKDE
 from repro.core.scoring import score_components, with_feature_logps
-from tests.util import make_obs_df
+from tests.util import make_obs_rows
+
+#: ``car`` has volume and velocity distributions, ``truck`` volume
+#: only, and ``bus`` none at all.
+CLASSES = ("car", "truck", "bus")
 
 
 def _random_scene(seed):
-    """Random observations in random tracks with volume + velocity."""
+    """Random tracks of one class each, on random frames; some frames
+    carry a jittered human observation next to the model one."""
     rng = np.random.default_rng(seed)
     rows = []
-    oid = 0
     for t in range(rng.integers(2, 6)):
+        cls = str(rng.choice(CLASSES))
         n = int(rng.integers(1, 8))
-        for i in range(n):
+        for frame in np.sort(rng.choice(12, n, replace=False)):
             side = float(rng.uniform(1.0, 3.0))
-            rows.append(
-                {
-                    "obs_id": oid,
-                    "frame_id": i,
-                    "cx": float(rng.uniform(-20, 20)),
-                    "cy": float(rng.uniform(-20, 20)),
-                    "length": side, "width": side, "height": side,
-                    "track": f"t{t}",
-                }
-            )
-            oid += 1
-    return rows
+            row = {
+                "frame_id": int(frame),
+                "cls": cls,
+                "cx": float(rng.uniform(-20, 20)),
+                "cy": float(rng.uniform(-20, 20)),
+                "length": side, "width": side, "height": side,
+                "track_id": f"t{t}",
+            }
+            rows.append(row)
+            if rng.random() < 0.4:
+                rows.append(dict(row, source="human", cx=row["cx"] + rng.normal(0, 0.3)))
+    pdf = make_obs_rows(rows)
+    pdf["track_id"] = [r["track_id"] for r in rows]
+    return pdf
 
 
 @pytest.fixture(scope="module")
 def dists():
     rng = np.random.default_rng(0)
     return FeatureDistributions(
-        volume={"car": GaussianKDE.fit(rng.uniform(1, 30, 300))},
+        volume={
+            "car": GaussianKDE.fit(rng.uniform(1, 30, 300)),
+            "truck": GaussianKDE.fit(rng.uniform(5, 25, 300)),
+        },
         velocity={"car": GaussianKDE.fit(np.abs(rng.normal(10, 8, 300)))},
     )
 
@@ -55,43 +64,19 @@ def dists():
     "aof", [aof_identity, aof_invert], ids=lambda f: f.__name__.removeprefix("aof_")
 )
 def test_spark_scoring_equals_factor_graph(spark, dists, seed, aof):
-    rows = _random_scene(seed)
-    track_of = {r["obs_id"]: r["track"] for r in rows}
+    pdf = _random_scene(seed)
 
-    # --- Spark path -------------------------------------------------
-    df = make_obs_df(spark, [{k: v for k, v in r.items() if k != "track"} for r in rows])
-    track_map = spark.createDataFrame(
-        pd.DataFrame({"obs_id": list(track_of), "track_id": list(track_of.values())})
-    )
-    df = df.join(track_map, "obs_id")
-    scored = with_feature_logps(df, dists, aof=aof)
+    scored = with_feature_logps(spark.createDataFrame(pdf), dists, aof=aof)
     got = {
         r["track_id"]: r["score"]
         for r in score_components(scored, ["track_id"]).collect()
     }
 
-    # --- Reference factor graph -------------------------------------
-    g = FactorGraph()
-    for r in rows:
-        g.add_observation(r["obs_id"])
-    by_track: dict[str, list[dict]] = {}
-    for r in rows:
-        by_track.setdefault(r["track"], []).append(r)
-    for trk, obs_list in by_track.items():
-        obs_list.sort(key=lambda r: r["frame_id"])
-        for i, r in enumerate(obs_list):
-            vol = r["length"] * r["width"] * r["height"]
-            p = float(dists.volume["car"].relative_likelihood([vol])[0])
-            g.add_factor(Factor("volume", (r["obs_id"],), p, aof=aof))
-            if i > 0:
-                prev = obs_list[i - 1]
-                dt = (r["frame_id"] - prev["frame_id"]) * 0.2
-                v = math.hypot(r["cx"] - prev["cx"], r["cy"] - prev["cy"]) / dt
-                pv = float(dists.velocity["car"].relative_likelihood([v])[0])
-                g.add_factor(Factor("velocity", (r["obs_id"],), pv, aof=aof))
+    g = compile_scene(pdf, dists, aof)
     expected = {
-        trk: g.score([r["obs_id"] for r in obs_list])
-        for trk, obs_list in by_track.items()
+        trk: s
+        for trk, ids in pdf.groupby("track_id")["obs_id"]
+        if (s := g.score(ids)) is not None
     }
 
     assert set(got) == set(expected)

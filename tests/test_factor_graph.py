@@ -1,10 +1,19 @@
 """Unit tests for the reference factor-graph semantics (paper §6)."""
 import math
 
+import numpy as np
 import pytest
 
-from repro.core.factor_graph import Factor, FactorGraph
-from repro.core.kde import EPS
+from repro.core.distributions import FeatureDistributions
+from repro.core.factor_graph import (
+    Factor,
+    FactorGraph,
+    aof_identity,
+    aof_invert,
+    compile_scene,
+)
+from repro.core.kde import EPS, GaussianKDE
+from tests.util import make_obs_rows
 
 
 def graph(*factors, n_obs=4):
@@ -94,3 +103,70 @@ class TestFactorGraph:
         g = graph(f1, f2)
         assert g.connected_factors([0]) == [f1]
         assert len(g.connected_factors([0, 1])) == 2
+
+
+class TestAofs:
+    def test_identity(self):
+        assert aof_identity(0.3) == 0.3
+
+    def test_invert(self):
+        assert aof_invert(0.3) == pytest.approx(0.7)
+        assert aof_invert(1.0) == EPS
+
+
+def tracked(rows):
+    """Observation pandas frame with a ``track_id`` per row."""
+    pdf = make_obs_rows(rows)
+    pdf["track_id"] = [r.get("track_id", "t0") for r in rows]
+    return pdf
+
+
+def cube(side, **kw):
+    return dict(length=side, width=side, height=side, **kw)
+
+
+class TestCompileScene:
+    @pytest.fixture(scope="class")
+    def fd(self):
+        rng = np.random.default_rng(2)
+        return FeatureDistributions(
+            volume={"car": GaussianKDE.fit(rng.normal(8, 0.5, 100))},
+            velocity={"car": GaussianKDE.fit(np.abs(rng.normal(10, 2, 100)))},
+        )
+
+    def test_nodes_and_factors(self, fd):
+        # Three car observations in one track, one bus (no distribution).
+        obs = tracked(
+            [{"frame_id": f, "cx": 2.0 * f} for f in range(3)]
+            + [{"cls": "bus", "track_id": "t1"}]
+        )
+        g = compile_scene(obs, fd)
+        assert len(g.observations) == 4
+        names = sorted(f.name for f in g.factors)
+        assert names == ["velocity"] * 2 + ["volume"] * 3
+        assert g.connected_factors([3]) == []
+        assert g.score([3]) is None
+
+    def test_velocity_from_t_within_source(self, fd):
+        # The human label has no predecessor of its own source; the
+        # model's second box moved 5 m in 0.5 s.
+        obs = tracked(
+            [
+                {"frame_id": 0, "t": 0.0},
+                {"frame_id": 1, "t": 0.5, "cx": 5.0},
+                {"frame_id": 1, "t": 0.5, "cx": 5.0, "source": "human"},
+            ]
+        )
+        (vel,) = [f for f in compile_scene(obs, fd).factors if f.name == "velocity"]
+        assert vel.obs_ids == (1,)
+        assert vel.p == pytest.approx(fd.velocity["car"].relative_likelihood([10.0])[0])
+
+    def test_scoring_ranks_likely_first(self, fd):
+        obs = tracked([cube(2.0), cube(4.0, track_id="t1")])  # vol 8 vs 64
+        ranked = compile_scene(obs, fd).rank({"typical": [0], "weird": [1]})
+        assert [name for name, _ in ranked] == ["typical", "weird"]
+
+    def test_invert_aof_flips_ranking(self, fd):
+        obs = tracked([cube(2.0), cube(4.0, track_id="t1")])
+        ranked = compile_scene(obs, fd, aof_invert).rank({"typical": [0], "weird": [1]})
+        assert [name for name, _ in ranked] == ["weird", "typical"]

@@ -189,3 +189,21 @@ class TestDistanceLogpAndRanking:
             for r in rank_components(spark.createDataFrame(pdf)).collect()
         }
         assert got[("s2", "c")] == 1  # best of its own scene despite low score
+
+    def test_rank_ties_break_on_track_id(self, spark):
+        # An extra column ahead of track_id orders the opposite way; it
+        # must not decide ties.
+        pdf = pd.DataFrame(
+            {
+                "scene_id": ["s", "s"],
+                "track_n_obs": [9, 3],
+                "track_id": ["a", "b"],
+                "score": [-1.0, -1.0],
+                "n_factors": [1, 1],
+            }
+        )
+        got = {
+            r["track_id"]: r["rank"]
+            for r in rank_components(spark.createDataFrame(pdf)).collect()
+        }
+        assert got == {"a": 1, "b": 2}
