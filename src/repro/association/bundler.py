@@ -8,7 +8,7 @@ never absorbs two model predictions.
 
 The association is expressed as a Catalyst join: human and model
 observations of the same ``(scene_id, frame_id)`` are equi-joined, a
-coarse center-distance band-join predicate prunes the quadratic blowup,
+center-distance band-join predicate prunes the pairs that cannot overlap,
 the exact IOU is computed as a column expression, and mutual-best
 matching is two window ranks. Everything stays in the DataFrame API.
 """
@@ -23,15 +23,11 @@ from repro.core.schema import SOURCE_HUMAN, SOURCE_MODEL, validate_observations
 #: Paper default: ``compute_iou(box1, box2) > 0.5``.
 DEFAULT_IOU_THRESHOLD = 0.5
 
-#: Coarse pre-filter: boxes whose centers differ by more than this many
-#: metres in x or y cannot overlap (largest object ~14 m long).
-COARSE_RADIUS_M = 10.0
-
 
 def _candidate_pairs(obs: DataFrame, iou_threshold: float) -> DataFrame:
     """Human×model pairs of the same ``(scene_id, frame_id)`` whose
-    ``iou`` exceeds ``iou_threshold``; a coarse centre band prunes the
-    join before the exact IOU is computed."""
+    ``iou`` exceeds ``iou_threshold``; a centre band drops the pairs
+    that cannot overlap in x or y before the exact IOU is computed."""
     validate_observations(obs)
 
     def side(source: str, prefix: str) -> DataFrame:
@@ -42,8 +38,8 @@ def _candidate_pairs(obs: DataFrame, iou_threshold: float) -> DataFrame:
         side(SOURCE_HUMAN, "h_")
         .join(side(SOURCE_MODEL, "m_"), on=["scene_id", "frame_id"])
         .where(
-            (F.abs(F.col("h_cx") - F.col("m_cx")) < COARSE_RADIUS_M)
-            & (F.abs(F.col("h_cy") - F.col("m_cy")) < COARSE_RADIUS_M)
+            (F.abs(F.col("h_cx") - F.col("m_cx")) < (F.col("h_length") + F.col("m_length")) / 2)
+            & (F.abs(F.col("h_cy") - F.col("m_cy")) < (F.col("h_width") + F.col("m_width")) / 2)
         )
         .withColumn("iou", iou_expr("h_", "m_"))
         .where(F.col("iou") > iou_threshold)

@@ -60,68 +60,58 @@ def _track_scene(pdf: pd.DataFrame, iou_threshold: float, max_gap: int) -> pd.Da
     scene_id = pdf["scene_id"].iloc[0]
     reps = _representative_boxes(pdf)
     out_bundle, out_track = [], []
-    # Active tracks: parallel lists of last box, per-frame velocity
+    # Active tracks, one row each: last box, per-frame velocity
     # (constant-velocity motion model — without it a fast object that
     # moves more than its own length per frame has zero adjacent-frame
     # IOU and fragments into many tracks), last frame, track index.
-    act_boxes: list[np.ndarray] = []
-    act_vel: list[np.ndarray] = []
-    act_frame: list[int] = []
-    act_tid: list[int] = []
+    box, vel = np.empty((0, 6)), np.empty((0, 2))
+    last, tid = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     next_tid = 0
+    buffer = np.array([0.0, 0.0, 0.0, MATCH_BUFFER_M, MATCH_BUFFER_M, MATCH_BUFFER_M])
     for frame_id, grp in reps.groupby("frame_id", sort=True):
         # Expire stale tracks BEFORE matching: a track unseen for more
         # than max_gap frames must not capture this frame's bundles.
-        keep = [k for k, f in enumerate(act_frame) if frame_id - f <= max_gap]
-        act_boxes = [act_boxes[k] for k in keep]
-        act_vel = [act_vel[k] for k in keep]
-        act_frame = [act_frame[k] for k in keep]
-        act_tid = [act_tid[k] for k in keep]
+        keep = frame_id - last <= max_gap
+        box, vel, last, tid = box[keep], vel[keep], last[keep], tid[keep]
         grp = grp.sort_values("bundle_id")
         boxes = grp[list(BOX_COLS)].to_numpy(dtype=np.float64)
+        # Predict each active track's box forward to this frame, and
+        # match on buffered boxes (extents dilated by MATCH_BUFFER_M).
+        gap = frame_id - last
+        pred = box.copy()
+        pred[:, 0:2] += vel * gap[:, None]
+        m = iou_matrix(pred + buffer, boxes + buffer)
         assigned = np.full(len(grp), -1, dtype=np.int64)
-        if act_boxes:
-            # Predict each active track's box forward to this frame.
-            pred = np.stack(act_boxes).copy()
-            for i in range(pred.shape[0]):
-                gap = int(frame_id) - act_frame[i]
-                pred[i, 0:2] += act_vel[i] * gap
-            # Match on buffered boxes (extents dilated by MATCH_BUFFER_M).
-            pred_b = pred.copy()
-            pred_b[:, 3:6] += MATCH_BUFFER_M
-            boxes_b = boxes.copy()
-            boxes_b[:, 3:6] += MATCH_BUFFER_M
-            m = iou_matrix(pred_b, boxes_b)
-            # Greedy: repeatedly take the best remaining pair.
-            while True:
-                i, j = np.unravel_index(np.argmax(m), m.shape)
-                if m[i, j] <= iou_threshold:
-                    break
-                assigned[j] = i
-                m[i, :] = -1.0
-                m[:, j] = -1.0
-        for j, bundle_id in enumerate(grp["bundle_id"].to_numpy()):
-            if assigned[j] >= 0:
-                i = int(assigned[j])
-                gap = int(frame_id) - act_frame[i]
-                act_vel[i] = (boxes[j, 0:2] - act_boxes[i][0:2]) / max(gap, 1)
-                act_boxes[i] = boxes[j]
-                act_frame[i] = int(frame_id)
-                tid = act_tid[i]
-            else:
-                tid = next_tid
-                next_tid += 1
-                act_boxes.append(boxes[j])
-                act_vel.append(np.zeros(2))
-                act_frame.append(int(frame_id))
-                act_tid.append(tid)
-            out_bundle.append(int(bundle_id))
-            out_track.append(tid)
+        # Greedy: repeatedly take the best remaining pair.
+        while m.size:
+            i, j = np.unravel_index(np.argmax(m), m.shape)
+            if m[i, j] <= iou_threshold:
+                break
+            assigned[j] = i
+            m[i, :] = -1.0
+            m[:, j] = -1.0
+        hit = assigned >= 0
+        i = assigned[hit]
+        vel[i] = (boxes[hit, 0:2] - box[i, 0:2]) / np.maximum(gap[i], 1)[:, None]
+        box[i], last[i] = boxes[hit], frame_id
+        # Unmatched bundles open new tracks, appended in bundle order.
+        new = ~hit
+        n_new = int(new.sum())
+        ids = np.empty(len(grp), dtype=np.int64)
+        ids[hit] = tid[i]
+        ids[new] = next_tid + np.arange(n_new)
+        next_tid += n_new
+        box = np.vstack([box, boxes[new]])
+        vel = np.vstack([vel, np.zeros((n_new, 2))])
+        last = np.append(last, np.full(n_new, frame_id, dtype=np.int64))
+        tid = np.append(tid, ids[new])
+        out_bundle.append(grp["bundle_id"].to_numpy(dtype=np.int64))
+        out_track.append(ids)
     return pd.DataFrame(
         {
             "scene_id": scene_id,
-            "bundle_id": np.asarray(out_bundle, dtype=np.int64),
-            "track_id": [f"{scene_id}#{t}" for t in out_track],
+            "bundle_id": np.concatenate(out_bundle),
+            "track_id": [f"{scene_id}#{t}" for t in np.concatenate(out_track)],
         }
     )
 

@@ -27,6 +27,9 @@ from repro.association.iou import iou_expr
 from repro.core.features import track_stats
 from repro.core.schema import SOURCE_MODEL
 
+#: Same-frame model boxes overlapping above this IOU count toward multibox.
+MULTIBOX_IOU_THRESHOLD = 0.1
+
 
 def consistency_candidates(obs_tracked: DataFrame) -> DataFrame:
     """Model-only tracks with >= 2 observations, with the two ad-hoc
@@ -71,9 +74,10 @@ def flicker_flags(obs_tracked: DataFrame) -> DataFrame:
     )
 
 
-def multibox_flags(obs_tracked: DataFrame, iou_threshold: float = 0.1) -> DataFrame:
+def multibox_flags(obs_tracked: DataFrame) -> DataFrame:
     """Tracks violating the *multibox* assertion: a model box overlapping
-    >= 2 other model boxes in the same frame."""
+    >= 2 other model boxes in the same frame above IOU
+    :data:`MULTIBOX_IOU_THRESHOLD`."""
     model = obs_tracked.where(F.col("source") == SOURCE_MODEL)
     a = model.select(
         "scene_id", "frame_id", "track_id",
@@ -87,7 +91,7 @@ def multibox_flags(obs_tracked: DataFrame, iou_threshold: float = 0.1) -> DataFr
         a.join(b, on=["scene_id", "frame_id"])
         .where(F.col("a_obs_id") != F.col("b_obs_id"))
         .withColumn("iou", iou_expr("a_", "b_"))
-        .where(F.col("iou") > iou_threshold)
+        .where(F.col("iou") > MULTIBOX_IOU_THRESHOLD)
     )
     return (
         pairs.groupBy("scene_id", "track_id", "a_obs_id")

@@ -36,9 +36,6 @@ class FeatureDistributions:
     volume: dict[str, GaussianKDE] = field(default_factory=dict)
     velocity: dict[str, GaussianKDE] = field(default_factory=dict)
 
-    def classes(self) -> set[str]:
-        return set(self.volume) | set(self.velocity)
-
 
 def learn_feature_distributions(
     train_labels: DataFrame, dist_cls=GaussianKDE, min_samples: int = 8

@@ -38,6 +38,9 @@ from repro.core.features import LEARNED_FEATURES, with_learned_features
 #: The factor columns :func:`with_feature_logps` attaches.
 LEARNED_LOGPS = tuple(f"{name}_logp" for name in LEARNED_FEATURES)
 
+#: Length scale of the manual distance severity feature, in metres.
+DISTANCE_SCALE_M = 50.0
+
 
 def make_logp_udf(dists_by_cls: Mapping[str, object], aof: Callable = aof_identity):
     """Build a pandas UDF ``(cls, value) -> ln(aof(p(value)))``.
@@ -76,17 +79,17 @@ def with_feature_logps(
     return out
 
 
-def with_distance_logp(df: DataFrame, scale_m: float = 50.0) -> DataFrame:
+def with_distance_logp(df: DataFrame) -> DataFrame:
     """Manually-specified severity feature (§5: "The user may also
     manually specify feature distributions to rank severity (e.g.,
     distance of an object to the AV)").
 
-    ``p = exp(−distance/scale)`` — nearby objects are the important
-    ones ("the motorcycle is close to the autonomous vehicle, which is
-    especially problematic for downstream planning", §8.2) — so
-    ``logp = −distance/scale``, a plain column expression.
+    ``p = exp(−distance/DISTANCE_SCALE_M)`` — nearby objects are the
+    important ones ("the motorcycle is close to the autonomous vehicle,
+    which is especially problematic for downstream planning", §8.2) —
+    so ``logp = −distance/DISTANCE_SCALE_M``, a plain column expression.
     """
-    return df.withColumn("distance_logp", -F.col("distance") / F.lit(scale_m))
+    return df.withColumn("distance_logp", -F.col("distance") / F.lit(DISTANCE_SCALE_M))
 
 
 def score_components(

@@ -1,13 +1,13 @@
 """End-to-end experiment drivers, one per table/result in §8.
 
-Every driver runs the full Fixy dataflow — build dataset, learn
-feature distributions from the training labels (offline phase,
-§5), associate observations into bundles and tracks (§4), score with
-the application's AOF (§6, §7), rank — plus the paper's baselines, and
-returns a dict of the numbers the paper reports:
+:func:`prepare` builds a dataset, learns feature distributions from
+its training labels (offline phase, §5) and associates observations
+into bundles and tracks (§4). Every driver takes that :class:`Prepared`
+dataset, scores with its application's AOF (§6, §7), ranks, runs the
+paper's baselines, and returns a dict of the numbers the paper reports:
 
-- :func:`run_missing_tracks` → Table 3 (precision@{10,5,1}, Fixy vs
-  ad-hoc MA rand/conf) and the Lyft scene-level hit rate.
+- :func:`run_missing_tracks_prepared` → Table 3 (precision@{10,5,1},
+  Fixy vs ad-hoc MA rand/conf) and the Lyft scene-level hit rate.
 - :func:`run_recall` → §8.2 recall on the audited internal scene
   (paper: 18/24 = 75%).
 - :func:`run_missing_obs` → §8.3 rank of the injected single missing
@@ -57,6 +57,9 @@ from repro.perception.datasets import (
 #: two or fewer obs.").
 MIN_TRACK_OBS = 3
 
+#: §8.4 searches this many Lyft scenes for model errors.
+MODEL_ERROR_SCENES = 5
+
 
 @dataclass
 class Prepared:
@@ -81,7 +84,7 @@ def prepare(spark: SparkSession, name: str, scale: float = 1.0) -> Prepared:
 # --------------------------------------------------------------------
 
 
-def _missing_tracks(prep: Prepared, spark: SparkSession) -> DataFrame:
+def _missing_tracks(spark: SparkSession, prep: Prepared) -> DataFrame:
     """The manifest's injected missing tracks as ``(scene_id, gt_track_id)``."""
     mt = prep.ds.manifest.missing_tracks
     return spark.createDataFrame(
@@ -89,27 +92,27 @@ def _missing_tracks(prep: Prepared, spark: SparkSession) -> DataFrame:
     )
 
 
-def _track_truth(prep: Prepared, spark: SparkSession) -> DataFrame:
-    """Per-track evaluation labels: the majority ground-truth object the
-    track follows, its error composition, and whether that object is an
-    injected missing track."""
-    model = prep.tracked.where(F.col("source") == SOURCE_MODEL)
+def _track_truth(spark: SparkSession, prep: Prepared, tracked: DataFrame) -> DataFrame:
+    """Per-track evaluation labels of ``tracked``: the majority
+    ground-truth object the track follows, its error composition, and
+    whether that object is an injected missing track."""
+    model = tracked.where(F.col("source") == SOURCE_MODEL)
     maj = model.groupBy("scene_id", "track_id").agg(
         F.mode("gt_track_id").alias("maj_gt"),
         F.mode("cls").alias("maj_cls"),
         F.avg((F.col("err_type") != ERR_NONE).cast("double")).alias("err_frac"),
     )
-    miss = _missing_tracks(prep, spark).withColumnRenamed("gt_track_id", "maj_gt")
+    miss = _missing_tracks(spark, prep).withColumnRenamed("gt_track_id", "maj_gt")
     return maj.join(
         miss.withColumn("is_missing", F.lit(True)), ["scene_id", "maj_gt"], "left"
     ).fillna({"is_missing": False})
 
 
-def _dedupe_errors(pdf: pd.DataFrame, rank_col: str = "rank") -> pd.DataFrame:
+def _dedupe_errors(pdf: pd.DataFrame) -> pd.DataFrame:
     """A missing object flagged twice (track fragments) counts once: the
     first-ranked flag stays a true positive, repeats become false
     positives — matching how an auditor would score duplicate reports."""
-    pdf = pdf.sort_values(["scene_id", rank_col]).copy()
+    pdf = pdf.sort_values(["scene_id", "rank"]).copy()
     pdf["is_error"] = pdf["is_error"].astype(bool)
     errors = pdf[pdf["is_error"]]
     repeats = errors.index[errors.duplicated(["scene_id", "maj_gt"])]
@@ -143,10 +146,7 @@ def fixy_missing_track_candidates(prep: Prepared) -> DataFrame:
     return rank_components(cand)
 
 
-def run_missing_tracks(
-    spark: SparkSession, name: str = "lyft", scale: float = 1.0,
-    ks: tuple[int, ...] = (10, 5, 1),
-) -> dict:
+def run_missing_tracks_prepared(spark: SparkSession, prep: Prepared, name: str) -> dict:
     """Table 3 for dataset ``name``: precision@k of Fixy vs the ad-hoc
     consistency MA under random and confidence ordering.
 
@@ -156,35 +156,14 @@ def run_missing_tracks(
     the scene that failed audit. Also returns the §8.2 scene-level hit
     rate (fraction of scenes-with-errors whose top 10 contains a hit).
     """
-    prep = prepare(spark, name, scale)
-    return run_missing_tracks_prepared(spark, prep, name, ks)
+    truth = _track_truth(spark, prep, prep.tracked).withColumnRenamed("is_missing", "is_error")
+    fixy_pdf = fixy_missing_track_candidates(prep).join(truth, ["scene_id", "track_id"]).toPandas()
+    ma_pdf = consistency_candidates(prep.tracked).join(truth, ["scene_id", "track_id"]).toPandas()
 
-
-def run_missing_tracks_prepared(
-    spark: SparkSession, prep: Prepared, name: str, ks: tuple[int, ...] = (10, 5, 1)
-) -> dict:
-    truth = _track_truth(prep, spark)
-
-    fixy = fixy_missing_track_candidates(prep).join(
-        truth, ["scene_id", "track_id"]
-    )
-    fixy_pdf = fixy.toPandas()
-    fixy_pdf["is_error"] = fixy_pdf["is_missing"]
-
-    ma = consistency_candidates(prep.tracked).join(truth, ["scene_id", "track_id"])
-    ma_pdf = ma.toPandas()
-    ma_pdf["is_error"] = ma_pdf["is_missing"]
     # The MA has no severity score: random and confidence orderings.
-    ma_rand = ma_pdf.copy()
-    ma_rand["rank"] = (
-        ma_rand.groupby("scene_id")["rand_order"].rank(method="first").astype(int)
-    )
-    ma_conf = ma_pdf.copy()
-    ma_conf["rank"] = (
-        ma_conf.groupby("scene_id")["track_mean_conf"]
-        .rank(method="first", ascending=False)
-        .astype(int)
-    )
+    def ma_ranked(col: str, ascending: bool) -> pd.DataFrame:
+        rank = ma_pdf.groupby("scene_id")[col].rank(method="first", ascending=ascending)
+        return ma_pdf.assign(rank=rank.astype(int))
 
     if name == "internal":
         scenes = [INTERNAL_AUDIT_SCENE]
@@ -195,10 +174,10 @@ def run_missing_tracks_prepared(
     fixy_deduped = _dedupe_errors(fixy_pdf)
     for label, deduped in (
         ("fixy", fixy_deduped),
-        ("ma_rand", _dedupe_errors(ma_rand)),
-        ("ma_conf", _dedupe_errors(ma_conf)),
+        ("ma_rand", _dedupe_errors(ma_ranked("rand_order", True))),
+        ("ma_conf", _dedupe_errors(ma_ranked("track_mean_conf", False))),
     ):
-        for k in ks:
+        for k in (10, 5, 1):
             out[f"{label}_p{k}"] = mean_scene_precision_at_k(deduped, k, scenes=scenes)
     # Scene-level hit rate (§8.2: "LOA found errors in 100% of the
     # scenes with errors in the top 10 ranked errors").
@@ -217,12 +196,11 @@ def run_missing_tracks_prepared(
 # --------------------------------------------------------------------
 
 
-def run_recall(spark: SparkSession, scale: float = 1.0, prep: Prepared | None = None) -> dict:
+def run_recall(spark: SparkSession, prep: Prepared) -> dict:
     """Recall of Fixy on the exhaustively-audited internal scene: how
     many of its missing tracks appear "in the top 10 ranked errors
     per-class" (paper: 18 of 24 = 75%)."""
-    prep = prep or prepare(spark, "internal", scale)
-    truth = _track_truth(prep, spark)
+    truth = _track_truth(spark, prep, prep.tracked)
     cand = fixy_missing_track_candidates(prep).join(truth, ["scene_id", "track_id"])
     audit = cand.where(F.col("scene_id") == INTERNAL_AUDIT_SCENE)
     # Top 10 per class, ranked by score within (scene, class).
@@ -252,7 +230,7 @@ def run_recall(spark: SparkSession, scale: float = 1.0, prep: Prepared | None = 
 # --------------------------------------------------------------------
 
 
-def run_missing_obs(spark: SparkSession, scale: float = 1.0, prep: Prepared | None = None) -> dict:
+def run_missing_obs(spark: SparkSession, prep: Prepared) -> dict:
     """Rank of the injected missing-observation-within-a-track.
 
     AOF (§8.3): zero the probability of observations in bundles with a
@@ -260,7 +238,6 @@ def run_missing_obs(spark: SparkSession, scale: float = 1.0, prep: Prepared | No
     filters. Remaining model-only bundles inside human-containing
     tracks are ranked by likelihood, dataset-wide.
     """
-    prep = prep or prepare(spark, "lyft", scale)
     scored = with_feature_logps(prep.tracked, prep.fd)
     stats = track_stats(prep.tracked)
     human_tracks = stats.where(F.col("track_has_human") == 1).select(
@@ -293,7 +270,7 @@ def run_missing_obs(spark: SparkSession, scale: float = 1.0, prep: Prepared | No
     # they are genuine labeling errors, but of the §8.2 missing-track
     # kind, so they are reported separately rather than counted as
     # false positives here.
-    miss_tracks = _missing_tracks(prep, spark).withColumn("from_missing_track", F.lit(True))
+    miss_tracks = _missing_tracks(spark, prep).withColumn("from_missing_track", F.lit(True))
     flagged = (
         bscores.join(
             prep.tracked.where(F.col("source") == SOURCE_MODEL).select(
@@ -305,14 +282,15 @@ def run_missing_obs(spark: SparkSession, scale: float = 1.0, prep: Prepared | No
         .join(miss_tracks, ["scene_id", "gt_track_id"], "left")
         .fillna({"is_error": False, "from_missing_track": False})
     )
-    pdf = (
-        flagged.select("scene_id", "bundle_id", "score", "is_error", "from_missing_track")
-        .toPandas()
+    pdf = flagged.select(
+        "scene_id", "bundle_id", "score", "is_error", "from_missing_track"
+    ).toPandas()
+    leaks = pdf["from_missing_track"]
+    clean = (
+        pdf[~leaks]
         .sort_values(["score", "bundle_id"], ascending=[False, True])
         .reset_index(drop=True)
     )
-    pdf["rank"] = pdf.index + 1
-    clean = pdf[~pdf["from_missing_track"]].reset_index(drop=True)
     clean["rank"] = clean.index + 1
     hits = clean[clean["is_error"]]
     # An injected drop is findable only if the detector kept that frame
@@ -321,7 +299,7 @@ def run_missing_obs(spark: SparkSession, scale: float = 1.0, prep: Prepared | No
     return {
         "n_injected": int(len(mo)),
         "n_candidates": int(len(clean)),
-        "n_missing_track_leaks": int(pdf["from_missing_track"].sum()),
+        "n_missing_track_leaks": int(leaks.sum()),
         "n_found": int(len(hits)),
         "found": not hits.empty,
         "ranks": [int(r) for r in hits["rank"]],
@@ -335,10 +313,7 @@ def run_missing_obs(spark: SparkSession, scale: float = 1.0, prep: Prepared | No
 # --------------------------------------------------------------------
 
 
-def run_model_errors(
-    spark: SparkSession, scale: float = 1.0, n_scenes: int = 5,
-    prep: Prepared | None = None, k: int = 10,
-) -> dict:
+def run_model_errors(spark: SparkSession, prep: Prepared) -> dict:
     """Find erroneous model predictions with no human labels (§7, §8.4).
 
     Ad-hoc MAs (appear, flicker, multibox) run first and their catches
@@ -347,10 +322,10 @@ def run_model_errors(
     feature, ranking the most implausible first. Compared against
     uncertainty sampling over the raw predictions.
     """
-    prep = prep or prepare(spark, "lyft", scale)
     scene_ids = [
         r["scene_id"]
-        for r in prep.ds.eval_obs.select("scene_id").distinct().orderBy("scene_id").limit(n_scenes).collect()
+        for r in prep.ds.eval_obs.select("scene_id").distinct().orderBy("scene_id")
+        .limit(MODEL_ERROR_SCENES).collect()
     ]
     model_obs = prep.ds.eval_obs.where(
         (F.col("source") == SOURCE_MODEL) & F.col("scene_id").isin(scene_ids)
@@ -374,23 +349,20 @@ def run_model_errors(
         .join(excluded.withColumn("_ex", F.lit(True)), ["scene_id", "track_id"], "left")
         .where(F.col("_ex").isNull() & (F.col("track_n_obs") >= MIN_TRACK_OBS))
     )
-    truth = tracked.groupBy("scene_id", "track_id").agg(
-        F.avg((F.col("err_type") != ERR_NONE).cast("double")).alias("err_frac")
-    )
-    ranked = (
-        cand.join(truth, ["scene_id", "track_id"])
+    # track_id is unique, so the ordering is total.
+    fixy_top = (
+        cand.join(_track_truth(spark, prep, tracked), ["scene_id", "track_id"])
         .withColumn("is_error", F.col("err_frac") > 0.5)
         .orderBy(F.desc("score"), F.asc("track_id"))
-        .limit(max(k * 4, 40))
+        .limit(10)
         .toPandas()
     )
-    fixy_top = ranked.head(k)
-    fixy_p = precision_at_k(fixy_top["is_error"], k)
+    fixy_p = precision_at_k(fixy_top["is_error"], 10)
     found_errors = fixy_top[fixy_top["is_error"]]
     max_conf_found = float(found_errors["track_max_conf"].max()) if not found_errors.empty else None
 
-    unc = rank_by_uncertainty(model_obs).where(F.col("rank") <= k).toPandas()
-    unc_p = precision_at_k((unc.sort_values("rank")["err_type"] != ERR_NONE), k)
+    unc = rank_by_uncertainty(model_obs).where(F.col("rank") <= 10).toPandas()
+    unc_p = precision_at_k((unc.sort_values("rank")["err_type"] != ERR_NONE), 10)
     tracked.unpersist()
     return {
         "n_scenes": len(scene_ids),

@@ -24,26 +24,24 @@ def precision_at_k(flags: pd.Series | list, k: int) -> float | None:
 
 
 def mean_scene_precision_at_k(
-    ranked: pd.DataFrame, k: int, scene_col: str = "scene_id",
-    rank_col: str = "rank", flag_col: str = "is_error",
-    scenes: list | None = None,
+    ranked: pd.DataFrame, k: int, scenes: list | None = None
 ) -> float | None:
     """Average per-scene precision@k (the Table 3 statistic).
 
     Args:
-        ranked: one row per flagged candidate with a per-scene rank and
-            a boolean error flag.
+        ranked: one row per flagged candidate with its ``scene_id``, a
+            per-scene ``rank`` and a boolean ``is_error`` flag.
         scenes: the scenes to average over (the paper averages over
             scenes where errors were discovered); defaults to all scenes
             present in ``ranked``.
     """
     per_scene = []
-    groups = dict(list(ranked.groupby(scene_col)))
+    groups = dict(list(ranked.groupby("scene_id")))
     for s in scenes if scenes is not None else sorted(groups):
         grp = groups.get(s)
         if grp is None or grp.empty:
             continue
-        p = precision_at_k(grp.sort_values(rank_col)[flag_col], k)
+        p = precision_at_k(grp.sort_values("rank")["is_error"], k)
         if p is not None:
             per_scene.append(p)
     return float(pd.Series(per_scene).mean()) if per_scene else None

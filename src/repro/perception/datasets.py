@@ -124,14 +124,12 @@ class Dataset:
         train_labels: Spark DataFrame of train-scene human labels (the
             organizational resource for distribution learning).
         manifest: exact injected-error record for the eval scenes.
-        hz: eval sampling rate (for velocity computation).
     """
 
     cfg: DatasetConfig
     eval_obs: DataFrame
     train_labels: DataFrame
     manifest: LabelManifest
-    hz: float
 
 
 def _to_spark(spark: SparkSession, pdf: pd.DataFrame, id_offset: int = 0) -> DataFrame:
@@ -165,6 +163,5 @@ def build_dataset(spark: SparkSession, cfg: DatasetConfig) -> Dataset:
     eval_obs = _to_spark(spark, eval_pdf)
     train_labels = _to_spark(spark, train_human, id_offset=10_000_000)
     return Dataset(
-        cfg=cfg, eval_obs=eval_obs, train_labels=train_labels,
-        manifest=manifest, hz=cfg.world.hz,
+        cfg=cfg, eval_obs=eval_obs, train_labels=train_labels, manifest=manifest
     )

@@ -123,6 +123,18 @@ class TestOverlappingModelObs:
         got = {r["obs_id"] for r in overlapping_model_obs(obs).collect()}
         assert got == {2, 3}
 
+    def test_long_boxes_far_apart_still_overlap(self, spark):
+        from repro.association.bundler import overlapping_model_obs
+
+        # Two aligned 13 m trucks 11 m apart overlap by 2 m in x:
+        # IOU = 2/24 ≈ 0.083 > 0.05, though their centres are > 10 m apart.
+        truck = {"length": 13.0, "width": 2.5, "height": 3.5, "cz": 1.75}
+        obs = make_obs_df(spark, [
+            {"obs_id": 1, "source": "human", "cx": 0.0, **truck},
+            {"obs_id": 2, "source": "model", "cx": 11.0, **truck},
+        ])
+        assert {r["obs_id"] for r in overlapping_model_obs(obs).collect()} == {2}
+
     def test_disjoint_model_obs_not_flagged(self, spark):
         from repro.association.bundler import overlapping_model_obs
 

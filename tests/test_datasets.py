@@ -76,9 +76,6 @@ class TestBuildDataset:
         audit = man[man["scene_id"] == INTERNAL_AUDIT_SCENE]
         assert len(audit) == INTERNAL_AUDIT_MISSING
 
-    def test_hz_recorded(self, small_internal):
-        assert small_internal.hz == 10.0
-
     def test_deterministic(self, spark, small_internal):
         again = build_dataset(spark, internal_config(scale=0.16, duration_s=5.0))
         a = small_internal.eval_obs.orderBy("obs_id").toPandas()

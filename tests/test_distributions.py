@@ -54,9 +54,6 @@ class TestLearnFeatureDistributions:
         fd = learn_feature_distributions(ds.train_labels, dist_cls=Histogram)
         assert isinstance(fd.volume["car"], Histogram)
 
-    def test_classes_helper(self, fd):
-        assert fd.classes() == set(fd.volume) | set(fd.velocity)
-
     def test_velocity_excludes_cross_track_transitions(self, spark, ds):
         # Learned velocities must be physical: no cross-object jumps.
         # All learned sample points stay below the max class speed plus

@@ -54,7 +54,7 @@ class TestTrackTruth:
     def test_majority_and_missing_flags(self, spark, prep):
         from repro.eval import harness
 
-        truth = harness._track_truth(prep, spark).toPandas()
+        truth = harness._track_truth(spark, prep, prep.tracked).toPandas()
         assert {"scene_id", "track_id", "maj_gt", "maj_cls", "err_frac", "is_missing"} <= set(truth.columns)
         # Every injected missing track that the model detected appears
         # flagged somewhere.
@@ -67,12 +67,12 @@ class TestTrackTruth:
     def test_ghost_tracks_never_missing(self, spark, prep):
         from repro.eval import harness
 
-        truth = harness._track_truth(prep, spark).toPandas()
+        truth = harness._track_truth(spark, prep, prep.tracked).toPandas()
         ghosts = truth[truth["maj_gt"] < 0]
         assert not ghosts["is_missing"].any()
 
     def test_err_frac_bounds(self, spark, prep):
         from repro.eval import harness
 
-        truth = harness._track_truth(prep, spark).toPandas()
+        truth = harness._track_truth(spark, prep, prep.tracked).toPandas()
         assert truth["err_frac"].between(0, 1).all()

@@ -157,7 +157,7 @@ class TestScoreComponents:
 class TestDistanceLogpAndRanking:
     def test_distance_logp(self, spark):
         df = make_obs_df(spark, [{"obs_id": 0}]).withColumn("distance", F.lit(25.0))
-        got = with_distance_logp(df, scale_m=50.0).first()["distance_logp"]
+        got = with_distance_logp(df).first()["distance_logp"]
         assert got == pytest.approx(-0.5)
 
     def test_rank_components_orders_by_score(self, spark):
