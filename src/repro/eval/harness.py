@@ -98,8 +98,8 @@ def _track_truth(spark: SparkSession, prep: Prepared, tracked: DataFrame) -> Dat
     whether that object is an injected missing track."""
     model = tracked.where(F.col("source") == SOURCE_MODEL)
     maj = model.groupBy("scene_id", "track_id").agg(
-        F.mode("gt_track_id").alias("maj_gt"),
-        F.mode("cls").alias("maj_cls"),
+        F.mode("gt_track_id", deterministic=True).alias("maj_gt"),
+        F.mode("cls", deterministic=True).alias("maj_cls"),
         F.avg((F.col("err_type") != ERR_NONE).cast("double")).alias("err_frac"),
     )
     miss = _missing_tracks(spark, prep).withColumnRenamed("gt_track_id", "maj_gt")

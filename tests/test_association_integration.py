@@ -66,7 +66,7 @@ class TestAssociationQuality:
             df.groupBy("scene_id", "track_id")
             .agg(
                 F.max((F.col("source") == "human").cast("int")).alias("has_human"),
-                F.mode("gt_track_id").alias("maj_gt"),
+                F.mode("gt_track_id", deterministic=True).alias("maj_gt"),
             )
             .toPandas()
         )

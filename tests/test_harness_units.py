@@ -1,4 +1,6 @@
 """Unit tests for harness internals: truth attachment and dedup."""
+from types import SimpleNamespace
+
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
@@ -76,3 +78,33 @@ class TestTrackTruth:
 
         truth = harness._track_truth(spark, prep, prep.tracked).toPandas()
         assert truth["err_frac"].between(0, 1).all()
+
+    @pytest.mark.parametrize("partitions", [1, 7])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_majority_tie_takes_lower_id(self, spark, partitions, reverse):
+        from repro.eval import harness
+
+        # Model observations tie 2-2 between objects 9 and 5 (and classes
+        # truck and car); the human observation of 9 does not vote.
+        rows = [
+            ("s", 1, 9, "truck", "model", "none"),
+            ("s", 1, 9, "truck", "model", "none"),
+            ("s", 1, 9, "truck", "human", "none"),
+            ("s", 1, 5, "car", "model", "none"),
+            ("s", 1, 5, "car", "model", "none"),
+        ]
+        if reverse:
+            rows = rows[::-1]
+        tracked = spark.createDataFrame(
+            rows, "scene_id string, track_id long, gt_track_id long, cls string, source string, err_type string"
+        )
+        missing = pd.DataFrame({"scene_id": ["s"], "gt_track_id": [5]})
+        prep = SimpleNamespace(ds=SimpleNamespace(manifest=SimpleNamespace(missing_tracks=missing)))
+        key = "spark.sql.shuffle.partitions"
+        old = spark.conf.get(key)
+        spark.conf.set(key, str(partitions))
+        try:
+            truth = harness._track_truth(spark, prep, tracked).collect()
+        finally:
+            spark.conf.set(key, old)
+        assert [(r.maj_gt, r.maj_cls, r.is_missing) for r in truth] == [(5, "car", True)]

@@ -1,8 +1,29 @@
 """Unit tests for the distribution primitives (repro.core.kde)."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from repro.core.kde import EPS, GaussianKDE, Histogram
+from repro.core.kde import EPS, PDF_CHUNK_ROWS, GaussianKDE, Histogram
+
+
+def _rng(seed):
+    return np.random.default_rng(seed)
+
+
+#: Samples the grid must follow: smooth, skewed, heavy-tailed, far apart,
+#: clustered, one extreme outlier, tiny, constant and integer-valued.
+GRID_SAMPLES = {
+    "normal": lambda: _rng(20).normal(3.0, 2.0, 4000),
+    "lognormal": lambda: _rng(21).lognormal(0.0, 1.0, 3000),
+    "pareto": lambda: _rng(22).pareto(1.5, 2000) + 1.0,
+    "far_bimodal": lambda: np.concatenate([_rng(23).normal(0, 0.5, 1000), _rng(24).normal(500, 0.5, 1000)]),
+    "point_clusters": lambda: _rng(25).choice([1.0, 1.5, 4.0, 9.0], 800) + _rng(26).normal(0, 1e-3, 800),
+    "one_outlier": lambda: np.append(_rng(27).normal(0, 1, 999), 1e6),
+    "n8": lambda: _rng(28).normal(10, 3, 8),
+    "constant": lambda: np.full(50, 7.0),
+    "integers": lambda: _rng(29).poisson(4.0, 2000).astype(float),
+}
 
 
 class TestGaussianKDE:
@@ -60,9 +81,10 @@ class TestGaussianKDE:
 
     def test_chunked_pdf_matches_unchunked(self):
         kde = GaussianKDE.fit(np.random.default_rng(7).normal(0, 1, 50))
-        xs = np.random.default_rng(8).normal(0, 1, 10_000)  # spans chunks
-        direct = kde.pdf(xs[:100])
-        np.testing.assert_allclose(kde.pdf(xs)[:100], direct)
+        xs = np.random.default_rng(8).normal(0, 1, 4 * PDF_CHUNK_ROWS + 17)  # spans chunks
+        chunked = kde.pdf(xs)
+        singles = np.concatenate([kde.pdf(xs[i : i + 1]) for i in range(0, xs.size, 97)])
+        np.testing.assert_allclose(chunked[::97], singles)
 
     def test_bimodal_support(self):
         data = np.concatenate(
@@ -81,6 +103,61 @@ class TestGaussianKDE:
         kde2 = pickle.loads(pickle.dumps(kde))
         x = np.linspace(-2, 2, 11)
         np.testing.assert_allclose(kde.pdf(x), kde2.pdf(x))
+
+
+class TestGridKDE:
+    """The interpolated ``relative_likelihood`` against the exact
+    ``clip(pdf / max_pdf, EPS, 1)`` it tabulates."""
+
+    @staticmethod
+    def _queries(kde):
+        lo, hi = kde.grid[0], kde.grid[-1]
+        pad = 0.1 * (hi - lo)
+        near = kde.points[:, None] + kde.bandwidth * np.linspace(-3, 3, 13)[None, :]
+        return np.concatenate([
+            np.linspace(lo - pad, hi + pad, 20_001),
+            kde.points,
+            near.ravel(),
+            [lo, hi, np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)],
+        ])
+
+    @pytest.mark.parametrize("name", sorted(GRID_SAMPLES))
+    def test_matches_exact_where_not_negligible(self, name):
+        kde = GaussianKDE.fit(GRID_SAMPLES[name]())
+        x = self._queries(kde)
+        exact = np.clip(kde.pdf(x) / kde.max_pdf, EPS, 1.0)
+        grid = kde.relative_likelihood(x)
+        assert np.all((grid >= EPS) & (grid <= 1.0))
+        big = exact >= 1e-6
+        assert big.any()
+        assert np.max(np.abs(np.log(grid[big]) - np.log(exact[big]))) <= 5e-3
+
+    @pytest.mark.parametrize("name", sorted(GRID_SAMPLES))
+    def test_off_grid_is_eps_like_exact(self, name):
+        kde = GaussianKDE.fit(GRID_SAMPLES[name]())
+        x = self._queries(kde)
+        off = x[(x < kde.grid[0]) | (x > kde.grid[-1])]
+        assert off.size > 0
+        assert np.all(kde.relative_likelihood(off) == EPS)
+        assert np.all(np.clip(kde.pdf(off) / kde.max_pdf, EPS, 1.0) == EPS)
+
+    def test_grid_spacing_and_reach(self):
+        kde = GaussianKDE.fit(GRID_SAMPLES["normal"]())
+        h = kde.bandwidth
+        assert np.diff(kde.grid).max() <= h / 32 * (1 + 1e-9)
+        assert kde.grid[0] == pytest.approx(kde.points[0] - 8 * h)
+        assert kde.grid[-1] == pytest.approx(kde.points[-1] + 8 * h)
+        assert kde.grid_logp.max() == 0.0
+
+    def test_fit_memory_is_bounded(self):
+        values = _rng(30).normal(0, 1, 20_000)
+        tracemalloc.start()
+        try:
+            GaussianKDE.fit(values)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 class TestHistogram:
