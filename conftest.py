@@ -68,7 +68,8 @@ def spark() -> SparkSession:
         f"[conftest] SPARK_DRIVER_MEM={os.environ['SPARK_DRIVER_MEM']} "
         f"(src={os.environ.get('_SPARK_DRIVER_MEM_SRC', 'env')}) "
         f"master={s.sparkContext.master} "
-        f"defaultParallelism={s.sparkContext.defaultParallelism}",
+        f"defaultParallelism={s.sparkContext.defaultParallelism} "
+        f"shuffle.partitions={s.conf.get('spark.sql.shuffle.partitions')}",
         file=sys.stderr,
     )
     yield s

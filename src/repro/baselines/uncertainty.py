@@ -12,7 +12,8 @@ to 0.95) is maximally far from the threshold and is never surfaced.
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame, Window
+import pandas as pd
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core.schema import SOURCE_MODEL
@@ -20,15 +21,23 @@ from repro.core.schema import SOURCE_MODEL
 DEFAULT_THRESHOLD = 0.5
 
 
-def rank_by_uncertainty(obs: DataFrame, threshold: float = DEFAULT_THRESHOLD) -> DataFrame:
-    """Rank model predictions by ``|confidence − threshold|`` ascending.
+def rank_by_uncertainty(
+    obs: DataFrame, k: int, threshold: float = DEFAULT_THRESHOLD
+) -> pd.DataFrame:
+    """The ``k`` model predictions closest to ``threshold``, most
+    uncertain first.
 
-    Returns model observations with ``uncertainty`` and a global
-    1-based ``rank`` (ties broken by ``obs_id`` for determinism).
+    Orders model observations by ``|confidence − threshold|`` ascending,
+    ties broken by ``obs_id``, and collects the first ``k`` with their
+    ``uncertainty`` and a 1-based ``rank``. A top-``k`` sort keeps only
+    ``k`` rows per partition, where a global ranking window would move
+    every prediction into one partition.
     """
     model = obs.where(F.col("source") == SOURCE_MODEL)
-    ranked = model.withColumn(
-        "uncertainty", F.abs(F.col("confidence") - F.lit(threshold))
+    top = (
+        model.withColumn("uncertainty", F.abs(F.col("confidence") - F.lit(threshold)))
+        .orderBy(F.asc("uncertainty"), F.asc("obs_id"))
+        .limit(k)
+        .toPandas()
     )
-    w = Window.orderBy(F.asc("uncertainty"), F.asc("obs_id"))
-    return ranked.withColumn("rank", F.row_number().over(w))
+    return top.assign(rank=range(1, len(top) + 1))

@@ -57,7 +57,14 @@ def learn_feature_distributions(
     feats = with_learned_features(
         train_labels.withColumn("track_id", F.col("gt_track_id").cast("string"))
     )
-    pdf = feats.select("cls", *LEARNED_FEATURES).toPandas()
+    # Spark returns rows in an order set by the shuffle layout, and a fit
+    # that subsamples (GaussianKDE's max_points) depends on the order of
+    # its values, so put them in (track, frame) order first.
+    pdf = (
+        feats.select("cls", *LEARNED_FEATURES, "track_id", "frame_id", "obs_id")
+        .toPandas()
+        .sort_values(["track_id", "frame_id", "obs_id"])
+    )
     fd = FeatureDistributions()
     for cls, grp in pdf.groupby("cls"):
         for name in LEARNED_FEATURES:

@@ -125,6 +125,18 @@ def _dedupe_errors(pdf: pd.DataFrame) -> pd.DataFrame:
 # --------------------------------------------------------------------
 
 
+def _ma_ranked(ma_pdf: pd.DataFrame, col: str, ascending: bool) -> pd.DataFrame:
+    """The consistency MA's candidates ranked per scene by ``col``. The
+    MA has no severity score, so Table 3 orders it randomly
+    (``rand_order``) or by confidence; ties in ``col`` break on
+    ``track_id``, not on the order Spark returned the rows in."""
+    ma_pdf = ma_pdf.sort_values(
+        ["scene_id", col, "track_id"], ascending=[True, ascending, True]
+    )
+    rank = ma_pdf.groupby("scene_id")[col].rank(method="first", ascending=ascending)
+    return ma_pdf.assign(rank=rank.astype(int))
+
+
 def fixy_missing_track_candidates(prep: Prepared) -> DataFrame:
     """The Fixy dataflow for the missing-track application (§7):
 
@@ -160,11 +172,6 @@ def run_missing_tracks_prepared(spark: SparkSession, prep: Prepared, name: str) 
     fixy_pdf = fixy_missing_track_candidates(prep).join(truth, ["scene_id", "track_id"]).toPandas()
     ma_pdf = consistency_candidates(prep.tracked).join(truth, ["scene_id", "track_id"]).toPandas()
 
-    # The MA has no severity score: random and confidence orderings.
-    def ma_ranked(col: str, ascending: bool) -> pd.DataFrame:
-        rank = ma_pdf.groupby("scene_id")[col].rank(method="first", ascending=ascending)
-        return ma_pdf.assign(rank=rank.astype(int))
-
     if name == "internal":
         scenes = [INTERNAL_AUDIT_SCENE]
     else:
@@ -174,8 +181,8 @@ def run_missing_tracks_prepared(spark: SparkSession, prep: Prepared, name: str) 
     fixy_deduped = _dedupe_errors(fixy_pdf)
     for label, deduped in (
         ("fixy", fixy_deduped),
-        ("ma_rand", _dedupe_errors(ma_ranked("rand_order", True))),
-        ("ma_conf", _dedupe_errors(ma_ranked("track_mean_conf", False))),
+        ("ma_rand", _dedupe_errors(_ma_ranked(ma_pdf, "rand_order", True))),
+        ("ma_conf", _dedupe_errors(_ma_ranked(ma_pdf, "track_mean_conf", False))),
     ):
         for k in (10, 5, 1):
             out[f"{label}_p{k}"] = mean_scene_precision_at_k(deduped, k, scenes=scenes)
@@ -361,8 +368,8 @@ def run_model_errors(spark: SparkSession, prep: Prepared) -> dict:
     found_errors = fixy_top[fixy_top["is_error"]]
     max_conf_found = float(found_errors["track_max_conf"].max()) if not found_errors.empty else None
 
-    unc = rank_by_uncertainty(model_obs).where(F.col("rank") <= 10).toPandas()
-    unc_p = precision_at_k((unc.sort_values("rank")["err_type"] != ERR_NONE), 10)
+    unc = rank_by_uncertainty(model_obs, 10)
+    unc_p = precision_at_k(unc["err_type"] != ERR_NONE, 10)
     tracked.unpersist()
     return {
         "n_scenes": len(scene_ids),

@@ -134,14 +134,14 @@ class Dataset:
 
 def _to_spark(spark: SparkSession, pdf: pd.DataFrame, id_offset: int = 0) -> DataFrame:
     """Assign ``obs_id`` and convert to a Spark DataFrame with the
-    canonical schema (scenes become the natural partitioning key)."""
+    canonical schema. No partitioning is imposed: every consumer
+    shuffles by its own key first (the tracker by ``scene_id``)."""
     pdf = pdf.copy()
     pdf["obs_id"] = np.arange(id_offset, id_offset + len(pdf), dtype=np.int64)
     pdf["frame_id"] = pdf["frame_id"].astype(np.int32)
     pdf["gt_track_id"] = pdf["gt_track_id"].astype(np.int64)
     pdf = pdf[list(OBS_COLUMNS)]
-    df = spark.createDataFrame(pdf, schema=OBS_SCHEMA)
-    return df.repartition("scene_id")
+    return spark.createDataFrame(pdf, schema=OBS_SCHEMA)
 
 
 def build_dataset(spark: SparkSession, cfg: DatasetConfig) -> Dataset:

@@ -119,26 +119,29 @@ class TestUncertainty:
             {"obs_id": 2, "confidence": 0.45},
             {"obs_id": 3, "confidence": 0.1},
         ]
-        got = [
-            r["obs_id"]
-            for r in rank_by_uncertainty(make_obs_df(spark, rows))
-            .orderBy("rank").select("obs_id").collect()
-        ]
+        got = rank_by_uncertainty(make_obs_df(spark, rows), 10)
         # Obs 1 and 3 tie at |conf − 0.5| = 0.4; obs_id breaks the tie.
-        assert got == [0, 2, 1, 3]
+        assert list(got["obs_id"]) == [0, 2, 1, 3]
+        assert list(got["rank"]) == [1, 2, 3, 4]
+
+    def test_top_k_only(self, spark):
+        rows = [{"obs_id": i, "confidence": 0.5 + i / 100} for i in range(5)]
+        got = rank_by_uncertainty(make_obs_df(spark, rows), 2)
+        assert list(got["obs_id"]) == [0, 1]
+        assert list(got["rank"]) == [1, 2]
 
     def test_custom_threshold(self, spark):
         rows = [
             {"obs_id": 0, "confidence": 0.9},
             {"obs_id": 1, "confidence": 0.5},
         ]
-        got = rank_by_uncertainty(make_obs_df(spark, rows), threshold=0.9)
-        assert got.orderBy("rank").first()["obs_id"] == 0
+        got = rank_by_uncertainty(make_obs_df(spark, rows), 10, threshold=0.9)
+        assert got["obs_id"].iloc[0] == 0
 
     def test_human_rows_excluded(self, spark):
         rows = [
             {"obs_id": 0, "source": "human", "confidence": 0.5},
             {"obs_id": 1, "source": "model", "confidence": 0.9},
         ]
-        got = rank_by_uncertainty(make_obs_df(spark, rows)).collect()
-        assert [r["obs_id"] for r in got] == [1]
+        got = rank_by_uncertainty(make_obs_df(spark, rows), 10)
+        assert list(got["obs_id"]) == [1]

@@ -1,10 +1,12 @@
 """Unit tests for offline distribution learning (repro.core.distributions)."""
+import numpy as np
 import pytest
 from pyspark.sql import functions as F
 
 from repro.core.distributions import learn_feature_distributions
 from repro.core.kde import Histogram
 from repro.perception.datasets import build_dataset, internal_config
+from tests.util import make_obs_df
 
 
 @pytest.fixture(scope="module")
@@ -60,3 +62,40 @@ class TestLearnFeatureDistributions:
         # jitter slack.
         fd = learn_feature_distributions(ds.train_labels)
         assert fd.velocity["car"].points.max() < 25.0
+
+
+class TestFitIgnoresLayout:
+    def test_subsampled_fit_same_under_any_layout(self, spark):
+        # 50 car tracks of 100 frames: 5000 volumes and 4950 velocities,
+        # more than GaussianKDE.fit keeps, so its subsample sees the order
+        # in which the values reach the driver.
+        rng = np.random.default_rng(3)
+        rows = [
+            {
+                "obs_id": i, "frame_id": i % 100, "source": "human",
+                "gt_track_id": i // 100, "cx": rng.normal(0.0, 3.0),
+                "length": rng.normal(4.5, 0.3), "width": rng.normal(1.9, 0.1),
+            }
+            for i in range(5000)
+        ]
+        labels = make_obs_df(spark, rows)
+        expected = learn_feature_distributions(labels)
+        keys = ("spark.sql.shuffle.partitions", "spark.sql.adaptive.enabled")
+        old = {key: spark.conf.get(key) for key in keys}
+        try:
+            spark.conf.set("spark.sql.shuffle.partitions", "7")
+            spark.conf.set("spark.sql.adaptive.enabled", "false")
+            fits = [
+                learn_feature_distributions(labels),
+                learn_feature_distributions(labels.orderBy(F.desc("obs_id"))),
+            ]
+        finally:
+            for key, value in old.items():
+                spark.conf.set(key, value)
+        for name in ("volume", "velocity"):
+            assert getattr(expected, name)["car"].points.size == 4096
+        for fd in fits:
+            for name in ("volume", "velocity"):
+                np.testing.assert_array_equal(
+                    getattr(fd, name)["car"].points, getattr(expected, name)["car"].points
+                )

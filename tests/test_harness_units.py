@@ -108,3 +108,35 @@ class TestTrackTruth:
         finally:
             spark.conf.set(key, old)
         assert [(r.maj_gt, r.maj_cls, r.is_missing) for r in truth] == [(5, "car", True)]
+
+
+class TestMaRanked:
+    @pytest.mark.parametrize("partitions", [1, 7])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_confidence_tie_breaks_on_track_id(self, spark, partitions, reverse):
+        from repro.baselines.model_assertions import consistency_candidates
+        from repro.eval import harness
+
+        # Tracks b and a tie on mean confidence 0.8; c is less confident.
+        rows = [
+            ("s", "s#b", "model", 0.8),
+            ("s", "s#b", "model", 0.8),
+            ("s", "s#a", "model", 0.8),
+            ("s", "s#a", "model", 0.8),
+            ("s", "s#c", "model", 0.6),
+            ("s", "s#c", "model", 0.6),
+        ]
+        tracked = spark.createDataFrame(
+            rows, "scene_id string, track_id string, source string, confidence double"
+        )
+        key = "spark.sql.shuffle.partitions"
+        old = spark.conf.get(key)
+        spark.conf.set(key, str(partitions))
+        try:
+            ma_pdf = consistency_candidates(tracked).toPandas()
+        finally:
+            spark.conf.set(key, old)
+        if reverse:
+            ma_pdf = ma_pdf.iloc[::-1]
+        got = harness._ma_ranked(ma_pdf, "track_mean_conf", False)
+        assert dict(zip(got["track_id"], got["rank"])) == {"s#a": 1, "s#b": 2, "s#c": 3}
