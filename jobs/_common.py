@@ -1,8 +1,8 @@
 """Shared SparkSession construction for the spark-submit entrypoints.
 
-Jobs are thin wrappers over :mod:`repro.eval.harness` functions, which
-take a SparkSession and return plain dicts — the same functions the
-tests and benchmarks drive.
+``jobs/reproduce.py`` is a thin wrapper over :mod:`repro.eval.harness`
+functions, which take a SparkSession and return plain dicts — the same
+functions the tests and ``perfbench/`` drive.
 """
 from __future__ import annotations
 

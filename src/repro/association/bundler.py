@@ -22,6 +22,8 @@ from repro.core.schema import SOURCE_HUMAN, SOURCE_MODEL, validate_observations
 
 #: Paper default: ``compute_iou(box1, box2) > 0.5``.
 DEFAULT_IOU_THRESHOLD = 0.5
+#: Any overlap above this counts for :func:`overlapping_model_obs`.
+OVERLAP_IOU_THRESHOLD = 0.05
 
 
 def _candidate_pairs(obs: DataFrame, iou_threshold: float) -> DataFrame:
@@ -72,11 +74,10 @@ def match_human_model(
     )
 
 
-def overlapping_model_obs(
-    obs: DataFrame, iou_threshold: float = 0.05
-) -> DataFrame:
+def overlapping_model_obs(obs: DataFrame) -> DataFrame:
     """Model observations overlapping ANY human observation in their
-    frame above ``iou_threshold`` (no mutual-best restriction).
+    frame above :data:`OVERLAP_IOU_THRESHOLD` (no mutual-best
+    restriction).
 
     Used by the §8.3 AOF: a model box that touches any human label —
     even one already associated to another prediction — is evidence the
@@ -86,7 +87,7 @@ def overlapping_model_obs(
         DataFrame with a single ``obs_id`` column (distinct model ids).
     """
     return (
-        _candidate_pairs(obs, iou_threshold)
+        _candidate_pairs(obs, OVERLAP_IOU_THRESHOLD)
         .select(F.col("m_obs_id").alias("obs_id"))
         .distinct()
     )

@@ -2,8 +2,8 @@
 
 Subpackage layout:
 
-- :mod:`repro.core.kde` — distribution primitives (KDE, Histogram) used
-  as learned feature distributions.
+- :mod:`repro.core.kde` — the Gaussian KDE every learned feature
+  distribution uses.
 - :mod:`repro.core.schema` — canonical observation schema.
 - :mod:`repro.core.features` — DataFrame feature transforms; names the
   learned features.

@@ -9,9 +9,9 @@ fitting function over the scalar/vector values."
 We do exactly that: feature generation runs as Spark dataflow over the
 training labels; the resulting *scalars* (a few per label — tiny
 compared to the data) are collected to the driver where the fitting
-function (KDE by default) runs per (feature, class). The fitted
-distributions are small picklable objects that scoring broadcasts back
-to executors inside pandas UDFs.
+function, :meth:`GaussianKDE.fit <repro.core.kde.GaussianKDE.fit>`, runs
+per (feature, class). The fitted distributions are small picklable
+objects that scoring broadcasts back to executors inside pandas UDFs.
 
 Distributions are class-conditional (Table 2: "Class-conditional box
 volume", "Class-conditional object velocity") — a 30 m³ volume is
@@ -27,6 +27,10 @@ from pyspark.sql import functions as F
 from repro.core.features import LEARNED_FEATURES, with_learned_features
 from repro.core.kde import GaussianKDE
 
+#: Classes with fewer values of a feature than this get no distribution
+#: for it (too few to support a density estimate).
+MIN_FIT_SAMPLES = 8
+
 
 @dataclass
 class FeatureDistributions:
@@ -37,19 +41,13 @@ class FeatureDistributions:
     velocity: dict[str, GaussianKDE] = field(default_factory=dict)
 
 
-def learn_feature_distributions(
-    train_labels: DataFrame, dist_cls=GaussianKDE, min_samples: int = 8
-) -> FeatureDistributions:
+def learn_feature_distributions(train_labels: DataFrame) -> FeatureDistributions:
     """Fit class-conditional volume and velocity distributions.
 
     Args:
         train_labels: human labels over training scenes (canonical
             observation schema). Their vendor instance id
             (``gt_track_id``) keys the transition feature.
-        dist_cls: fitting function/class with a ``fit(values)``
-            classmethod — the user-overridable estimator of §5.2.
-        min_samples: classes with fewer feature values than this are
-            skipped (cannot support a density estimate).
 
     Returns:
         :class:`FeatureDistributions`.
@@ -69,6 +67,6 @@ def learn_feature_distributions(
     for cls, grp in pdf.groupby("cls"):
         for name in LEARNED_FEATURES:
             values = grp[name].dropna().to_numpy()
-            if values.size >= min_samples:
-                getattr(fd, name)[cls] = dist_cls.fit(values)
+            if values.size >= MIN_FIT_SAMPLES:
+                getattr(fd, name)[cls] = GaussianKDE.fit(values)
     return fd

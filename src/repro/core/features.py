@@ -40,7 +40,7 @@ def with_distance(df: DataFrame) -> DataFrame:
     )
 
 
-def with_velocity(df: DataFrame, track_col: str = "track_id") -> DataFrame:
+def with_velocity(df: DataFrame) -> DataFrame:
     """Transition feature: instantaneous speed from box-center offsets
     between adjacent observations of the same source within a track
     (§4.2: "a transition feature for the estimated instantaneous
@@ -49,7 +49,7 @@ def with_velocity(df: DataFrame, track_col: str = "track_id") -> DataFrame:
     The first observation of each (track, source) has no predecessor and
     gets a null ``velocity`` — nulls contribute no factor when scoring.
     """
-    w = Window.partitionBy(track_col, "source").orderBy("frame_id")
+    w = Window.partitionBy("track_id", "source").orderBy("frame_id")
     dx = F.col("cx") - F.lag("cx").over(w)
     dy = F.col("cy") - F.lag("cy").over(w)
     dt = F.col("t") - F.lag("t").over(w)
@@ -63,9 +63,9 @@ def with_velocity(df: DataFrame, track_col: str = "track_id") -> DataFrame:
 LEARNED_FEATURES = ("volume", "velocity")
 
 
-def with_learned_features(df: DataFrame, track_col: str = "track_id") -> DataFrame:
+def with_learned_features(df: DataFrame) -> DataFrame:
     """Attach every column of :data:`LEARNED_FEATURES`."""
-    return with_velocity(with_volume(df), track_col)
+    return with_velocity(with_volume(df))
 
 
 def track_stats(df: DataFrame) -> DataFrame:

@@ -1,13 +1,11 @@
-"""Distribution primitives for learned feature distributions (paper §5).
+"""The learned feature distribution (paper §5).
 
-Fixy's default feature-distribution estimator is a kernel density
-estimator (§5.2: "By default, Fixy uses a kernel density estimator
-(KDE) to learn feature distributions"). Users can override with other
-distributions (e.g. discrete ones) — we provide :class:`Histogram` for
-that.
+Fixy learns feature distributions with a kernel density estimator
+(§5.2: "By default, Fixy uses a kernel density estimator (KDE) to learn
+feature distributions"), and every learned feature here uses it.
 
-All distributions here are pure-numpy and picklable so they can be
-broadcast to Spark executors and evaluated inside pandas UDFs.
+:class:`GaussianKDE` is pure numpy and picklable, so it can be broadcast
+to Spark executors and evaluated inside pandas UDFs.
 
 Scores: the paper scores ``ln(AOF(p))`` where ``p`` is "a probability of
 seeing a feature of the input" (§2). A KDE yields a *density*, not a
@@ -146,32 +144,3 @@ class GaussianKDE:
         # lp <= 0, so exp(lp) <= 1. exp(LN_EPS) rounds a little above EPS,
         # so entries at the floor return EPS itself.
         return np.where(lp > LN_EPS, np.exp(lp), EPS)
-
-
-@dataclass
-class Histogram:
-    """Discrete (binned) empirical distribution — an override for cases
-    where "other types of distributions are appropriate" (§5.2)."""
-
-    edges: np.ndarray = field(default_factory=lambda: np.array([0.0, 1.0]))
-    probs: np.ndarray = field(default_factory=lambda: np.array([1.0]))
-
-    @classmethod
-    def fit(cls, values, bins: int = 32) -> "Histogram":
-        x = np.asarray(values, dtype=np.float64).ravel()
-        x = x[np.isfinite(x)]
-        if x.size == 0:
-            raise ValueError("cannot fit a Histogram to zero finite values")
-        counts, edges = np.histogram(x, bins=bins)
-        probs = counts / counts.sum()
-        return cls(edges=edges, probs=probs)
-
-    def relative_likelihood(self, x) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        idx = np.clip(np.searchsorted(self.edges, x, side="right") - 1, 0, self.probs.size - 1)
-        p = self.probs[idx]
-        # Out-of-support values get EPS, mirroring KDE tail behaviour.
-        oob = (x < self.edges[0]) | (x > self.edges[-1])
-        p = np.where(oob, 0.0, p)
-        pmax = self.probs.max() if self.probs.max() > 0 else 1.0
-        return np.clip(p / pmax, EPS, 1.0)

@@ -259,7 +259,7 @@ def run_missing_obs(spark: SparkSession, prep: Prepared) -> dict:
     # already-matched label) is evidence the object *is* labeled, so the
     # AOF zeroes it; a genuinely missing observation has no human box
     # anywhere near it in that frame.
-    weak = overlapping_model_obs(prep.tracked, iou_threshold=0.05)
+    weak = overlapping_model_obs(prep.tracked)
     cand_obs = (
         scored.join(human_tracks, ["scene_id", "track_id"])
         .join(bundle_has_human, ["scene_id", "bundle_id"])

@@ -16,7 +16,7 @@ sensor layout differ between the two datasets"):
 Each config also generates *training* scenes whose (noisy) vendor
 labels are the "organizational resources" Fixy learns feature
 distributions from (§5). A ``scale`` knob shrinks scene counts for unit
-tests; benchmarks run paper scale.
+tests; ``jobs/reproduce.py`` runs paper scale by default.
 """
 from __future__ import annotations
 

@@ -3,8 +3,8 @@ import numpy as np
 import pytest
 from pyspark.sql import functions as F
 
+from repro.core import distributions
 from repro.core.distributions import learn_feature_distributions
-from repro.core.kde import Histogram
 from repro.perception.datasets import build_dataset, internal_config
 from tests.util import make_obs_df
 
@@ -48,13 +48,10 @@ class TestLearnFeatureDistributions:
         kde = fd.velocity["car"]
         assert kde.points.min() >= 0.0
 
-    def test_min_samples_skips_rare_classes(self, ds):
-        fd = learn_feature_distributions(ds.train_labels, min_samples=10**9)
+    def test_min_samples_skips_rare_classes(self, ds, monkeypatch):
+        monkeypatch.setattr(distributions, "MIN_FIT_SAMPLES", 10**9)
+        fd = learn_feature_distributions(ds.train_labels)
         assert not fd.volume and not fd.velocity
-
-    def test_custom_estimator(self, ds):
-        fd = learn_feature_distributions(ds.train_labels, dist_cls=Histogram)
-        assert isinstance(fd.volume["car"], Histogram)
 
     def test_velocity_excludes_cross_track_transitions(self, spark, ds):
         # Learned velocities must be physical: no cross-object jumps.

@@ -2,7 +2,7 @@
 reduced-scale runs of the full dataflow.
 
 These run every driver end to end at a reduced scene count (the same
-code paths the paper-scale benchmarks use). Assertions target the
+code paths the paper-scale ``jobs/reproduce.py`` run uses). Assertions target the
 *shape* of the paper's results — which method wins, roughly by how much,
 and where the recall sits — not exact numbers; EXPERIMENTS.md records
 the paper-scale measured values next to the paper's.

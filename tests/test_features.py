@@ -5,8 +5,7 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.core.features import track_stats, with_distance, with_velocity, with_volume
-from repro.oracle import assert_equivalent
-from tests.util import make_obs_df, make_obs_rows
+from tests.util import assert_equivalent, make_obs_df, make_obs_rows
 
 
 class TestVolumeDistance:

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.core.kde import EPS, PDF_CHUNK_ROWS, GaussianKDE, Histogram
+from repro.core.kde import EPS, PDF_CHUNK_ROWS, GaussianKDE
 
 
 def _rng(seed):
@@ -158,22 +158,3 @@ class TestGridKDE:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
-
-
-class TestHistogram:
-    def test_fit_empty_raises(self):
-        with pytest.raises(ValueError):
-            Histogram.fit([])
-
-    def test_uniform_data_flat(self):
-        h = Histogram.fit(np.random.default_rng(13).uniform(0, 1, 20_000), bins=10)
-        assert np.all(h.relative_likelihood(np.linspace(0.05, 0.95, 10)) > 0.7)
-
-    def test_out_of_support_is_eps(self):
-        h = Histogram.fit(np.random.default_rng(14).uniform(0, 1, 1000))
-        assert h.relative_likelihood([5.0])[0] == EPS
-        assert h.relative_likelihood([-5.0])[0] == EPS
-
-    def test_mode_bin_is_one(self):
-        h = Histogram.fit(np.random.default_rng(15).normal(0, 1, 10_000), bins=21)
-        assert h.relative_likelihood([0.0])[0] == pytest.approx(1.0, abs=0.05)

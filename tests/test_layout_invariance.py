@@ -14,7 +14,12 @@ Partition count, AQE and broadcast decide how rows are split and in
 which order each step sees them, so a tie broken by arrival order, or
 a window or rank without a total order, shows up here as a changed
 dict. Each layout reruns everything from data generation on.
+
+The default-layout pass is also the test suite's one run of the whole
+reproduction, so the shape of its five dicts is checked here.
 """
+import json
+
 import pytest
 from pyspark.sql import functions as F
 
@@ -49,6 +54,18 @@ def _results(spark) -> dict:
 @pytest.fixture(scope="module")
 def default_results(spark) -> dict:
     return _results(spark)
+
+
+def test_default_results_shape(default_results):
+    assert list(default_results) == [
+        "table3_lyft", "table3_internal", "recall", "missing_obs", "model_errors"
+    ]
+    # As jobs/reproduce.py prints them.
+    results = [json.loads(json.dumps(r, default=float)) for r in default_results.values()]
+    assert [r["dataset"] for r in results[:2]] == ["lyft", "internal"]
+    for table3 in results[:2]:
+        assert table3["fixy_p10"] is not None
+        assert 0.0 <= table3["fixy_p10"] <= 1.0
 
 
 def test_get_spark_derives_shuffle_partitions(spark):

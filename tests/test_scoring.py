@@ -14,8 +14,7 @@ from repro.core.scoring import (
     with_distance_logp,
     with_feature_logps,
 )
-from repro.oracle import assert_equivalent
-from tests.util import make_obs_df
+from tests.util import assert_equivalent, make_obs_df
 
 
 @pytest.fixture(scope="module")

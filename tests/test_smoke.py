@@ -1,22 +1,56 @@
-"""End-to-end smoke test at tiny scale: the reproduction entry point
-runs every §8 experiment and emits five sane result dicts. Detailed
-behaviour is covered by the per-module test files; this exists so a
-pipeline-level breakage fails fast."""
+"""The reproduction entry point: ``jobs/reproduce.py [scale]`` prints
+every §8 result dict and, at paper scale only, records each one as
+``benchmarks/results/<name>.json``.
+
+The experiments are replaced by canned dicts here; the real five-result
+pass at reduced scale runs once, in ``test_layout_invariance.py``
+(``test_default_results_shape``)."""
 import json
 import sys
 
+import numpy as np
+
 from jobs import reproduce
 
+CANNED = [
+    ("table3_lyft", {"dataset": "lyft", "fixy_p10": np.float64(0.5)}),
+    ("table3_internal", {"dataset": "internal", "fixy_p10": np.float32(0.25)}),
+    ("recall", {"n_injected": 24}),
+    ("missing_obs", {"rank": None}),
+    ("model_errors", {"fixy_p10": 0.75}),
+]
 
-def test_reproduce_smoke(spark, monkeypatch, capsys):
-    monkeypatch.setattr(sys, "argv", ["reproduce.py", "0.05"])
+
+def _run_main(monkeypatch, tmp_path, argv):
+    scales = []
+
+    def canned(spark, scale):
+        scales.append(scale)
+        return iter(CANNED)
+
+    monkeypatch.setattr(reproduce, "results", canned)
+    monkeypatch.setattr(reproduce, "RESULTS_DIR", str(tmp_path))
+    monkeypatch.setattr(sys, "argv", ["reproduce.py", *argv])
     reproduce.main()
-    results = [
+    return scales
+
+
+def test_reproduce_smoke(spark, monkeypatch, tmp_path, capsys):
+    assert _run_main(monkeypatch, tmp_path, ["0.05"]) == [0.05]
+    printed = [
         json.loads(line) for line in capsys.readouterr().out.splitlines()
         if line.startswith("{")
     ]
-    assert len(results) == 5
-    assert [r["dataset"] for r in results[:2]] == ["lyft", "internal"]
-    for table3 in results[:2]:
-        assert table3["fixy_p10"] is not None
-        assert 0.0 <= table3["fixy_p10"] <= 1.0
+    assert printed == [json.loads(json.dumps(d, default=float)) for _, d in CANNED]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_paper_scale_records_results(spark, monkeypatch, tmp_path):
+    assert _run_main(monkeypatch, tmp_path, []) == [1.0]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        f"{name}.json" for name, _ in CANNED
+    )
+    for name, result in CANNED:
+        # The committed results files: indent 2, no trailing newline.
+        expected = json.dumps(result, indent=2, default=float)
+        assert (tmp_path / f"{name}.json").read_text() == expected
