@@ -12,12 +12,13 @@ import json
 import os
 import sys
 
-sys.path.insert(0, ".")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, ROOT)
 from jobs._common import emit, get_spark  # noqa: E402
 
 from repro.eval import harness  # noqa: E402
 
-RESULTS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks", "results")
+RESULTS_DIR = os.path.join(ROOT, "benchmarks", "results")
 
 
 def results(spark, scale: float):

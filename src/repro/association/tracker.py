@@ -14,9 +14,10 @@ and fragments into many single-frame tracks.)
 
 Scenes are independent, so the tracker is a classic
 partition-per-group dataflow: ``groupBy("scene_id").applyInPandas`` runs
-the sequential per-scene tracker in parallel across scenes, and the
-result joins back onto the observation DataFrame. The per-scene inner
-loop is vectorized numpy over the frame's IOU matrix.
+the sequential per-scene tracker in parallel across scenes and returns
+each scene's rows with their ``track_id`` attached, so the observations
+are shuffled once and never joined back. The per-scene inner loop is
+vectorized numpy over the frame's IOU matrix.
 
 Track ids are strings ``"<scene_id>#<k>"`` — unique across the dataset
 and deterministic (frames visited in order, bundles in id order).
@@ -26,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
+from pyspark.sql import types as T
 
 from repro.association.iou import BOX_COLS, iou_matrix
 from repro.core.schema import SOURCE_MODEL
@@ -130,14 +131,16 @@ def assign_tracks(
         max_gap: frames a track may go unseen before expiring.
 
     Returns:
-        the input with one extra ``track_id`` string column.
+        the input rows, columns and types, with one extra ``track_id``
+        string column.
     """
     if "bundle_id" not in obs_with_bundles.columns:
         raise ValueError("assign_tracks requires a bundle_id column; run assign_bundles first")
     cols = ["scene_id", "frame_id", "bundle_id", "obs_id", "source", *BOX_COLS]
-    reps_in = obs_with_bundles.select(*cols)
-    mapping = reps_in.groupBy("scene_id").applyInPandas(
-        lambda pdf: _track_scene(pdf, iou_threshold, max_gap),
-        schema="scene_id string, bundle_id long, track_id string",
-    )
-    return obs_with_bundles.join(mapping, on=["scene_id", "bundle_id"], how="left")
+
+    def track(pdf: pd.DataFrame) -> pd.DataFrame:
+        mapping = _track_scene(pdf[cols], iou_threshold, max_gap)
+        return pdf.merge(mapping[["bundle_id", "track_id"]], on="bundle_id", how="left")
+
+    schema = T.StructType([*obs_with_bundles.schema, T.StructField("track_id", T.StringType())])
+    return obs_with_bundles.groupBy("scene_id").applyInPandas(track, schema=schema)

@@ -16,7 +16,8 @@ The paper's baselines (§8.2, §8.4):
   an observation that overlaps at least two other same-frame model
   boxes.
 
-All are DataFrame transforms over the tracked observation set.
+The flags are DataFrame transforms over the tracked observation set;
+the consistency candidates are a filter over per-track aggregates.
 """
 from __future__ import annotations
 
@@ -24,28 +25,27 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.association.iou import iou_expr
-from repro.core.features import track_stats
 from repro.core.schema import SOURCE_MODEL
 
 #: Same-frame model boxes overlapping above this IOU count toward multibox.
 MULTIBOX_IOU_THRESHOLD = 0.1
 
 
-def consistency_candidates(obs_tracked: DataFrame) -> DataFrame:
+def consistency_candidates(tracks: DataFrame) -> DataFrame:
     """Model-only tracks with >= 2 observations, with the two ad-hoc
     orderings attached.
 
-    Returns one row per candidate track: ``scene_id, track_id,
-    track_n_obs, track_mean_conf, rand_order`` — ``rand_order`` is a
+    ``tracks`` holds one row per track with the
+    :func:`repro.core.features.track_stat_columns` (``track_stats`` of
+    the tracked observations, or a wider per-track aggregate). Returns
+    its candidate rows, every column kept, plus ``rand_order``: a
     deterministic pseudo-random key (hash of the track id) implementing
-    the paper's random ordering reproducibly.
+    the paper's random ordering reproducibly. ``track_mean_conf`` is the
+    confidence ordering.
     """
-    stats = track_stats(obs_tracked)
-    return (
-        stats.where((F.col("track_has_human") == 0) & (F.col("track_n_obs") >= 2))
-        .withColumn("rand_order", F.xxhash64(F.col("track_id")))
-        .select("scene_id", "track_id", "track_n_obs", "track_mean_conf", "rand_order")
-    )
+    return tracks.where(
+        (F.col("track_has_human") == 0) & (F.col("track_n_obs") >= 2)
+    ).withColumn("rand_order", F.xxhash64(F.col("track_id")))
 
 
 def appear_flags(obs_tracked: DataFrame) -> DataFrame:

@@ -21,7 +21,7 @@ distribution learning (§5.2) and scoring (§6).
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame, Window
+from pyspark.sql import Column, DataFrame, Window
 from pyspark.sql import functions as F
 
 from repro.core.schema import SOURCE_HUMAN, SOURCE_MODEL
@@ -68,8 +68,9 @@ def with_learned_features(df: DataFrame) -> DataFrame:
     return with_velocity(with_volume(df))
 
 
-def track_stats(df: DataFrame) -> DataFrame:
-    """Track-level aggregates used by AOF filters and baselines.
+def track_stat_columns() -> list[Column]:
+    """Track-level aggregates used by AOF filters and baselines, as
+    aggregate Columns over a track's observations.
 
     ``track_n_obs`` feeds the *count* track feature (filter tracks with
     two or fewer observations); ``track_has_human`` feeds the
@@ -77,13 +78,16 @@ def track_stats(df: DataFrame) -> DataFrame:
     ``track_mean_conf`` feeds the confidence-ordered baseline and
     ``track_max_conf`` the §8.4 report of the most confident error found.
     """
-    return df.groupBy("scene_id", "track_id").agg(
+    model_conf = F.when(F.col("source") == SOURCE_MODEL, F.col("confidence"))
+    return [
         F.count("*").alias("track_n_obs"),
         F.max((F.col("source") == SOURCE_HUMAN).cast("int")).alias("track_has_human"),
-        F.avg(
-            F.when(F.col("source") == SOURCE_MODEL, F.col("confidence"))
-        ).alias("track_mean_conf"),
-        F.max(
-            F.when(F.col("source") == SOURCE_MODEL, F.col("confidence"))
-        ).alias("track_max_conf"),
-    )
+        F.avg(model_conf).alias("track_mean_conf"),
+        F.max(model_conf).alias("track_max_conf"),
+    ]
+
+
+def track_stats(df: DataFrame) -> DataFrame:
+    """One row per ``(scene_id, track_id)`` of ``df`` with the
+    :func:`track_stat_columns`."""
+    return df.groupBy("scene_id", "track_id").agg(*track_stat_columns())

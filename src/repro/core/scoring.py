@@ -27,7 +27,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, Window
+from pyspark.sql import Column, DataFrame, Window
 from pyspark.sql import functions as F
 from pyspark.sql.functions import pandas_udf
 
@@ -96,14 +96,16 @@ def score_components(
     df: DataFrame,
     group_cols: Sequence[str],
     logp_cols: Sequence[str] = LEARNED_LOGPS,
+    extra_aggs: Sequence[Column] = (),
 ) -> DataFrame:
     """Aggregate observation-level factor log-probs into component
     scores: ``score = Σ logp / #non-null logps`` (paper §6's
     normalization by connected factor count).
 
-    Returns one row per component with ``score`` and ``n_factors``;
-    components with zero factors are dropped (nothing connects to them,
-    so they have no defined plausibility).
+    Returns one row per component with ``score``, ``n_factors`` and one
+    column per aggregate of ``extra_aggs``, computed in the same
+    ``groupBy``; components with zero factors are dropped (nothing
+    connects to them, so they have no defined plausibility).
     """
     present = [c for c in logp_cols if c in df.columns]
     if not present:
@@ -112,7 +114,7 @@ def score_components(
     count = sum(F.count(F.col(c)) for c in present)
     return (
         df.groupBy(*group_cols)
-        .agg(total.alias("_total"), count.alias("n_factors"))
+        .agg(total.alias("_total"), count.alias("n_factors"), *extra_aggs)
         .where(F.col("n_factors") > 0)
         .withColumn("score", F.col("_total") / F.col("n_factors"))
         .drop("_total")

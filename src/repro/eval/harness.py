@@ -16,13 +16,21 @@ paper's baselines, and returns a dict of the numbers the paper reports:
   after excluding ad-hoc MA catches (paper: Fixy 82% vs uncertainty
   sampling 42%), and the highest confidence among found errors (paper:
   up to 95%).
+
+The track-level drivers (Table 3, §8.2, §8.4) aggregate their scored
+observations per track once (:func:`_per_track`): the component score, the track statistics the
+AOFs and baselines read, and the track's evaluation labels come from
+one ``groupBy("scene_id", "track_id")``. Table 3 caches that frame and
+feeds both the Fixy ranking and the consistency MA from it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
+import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession, Window
+from pyspark.sql import Column, DataFrame, SparkSession, Window
 from pyspark.sql import functions as F
 
 from repro.association.bundler import assign_bundles, overlapping_model_obs
@@ -36,7 +44,7 @@ from repro.baselines.model_assertions import (
 from repro.baselines.uncertainty import rank_by_uncertainty
 from repro.core.distributions import FeatureDistributions, learn_feature_distributions
 from repro.core.factor_graph import aof_invert
-from repro.core.features import track_stats, with_distance
+from repro.core.features import track_stat_columns, track_stats, with_distance
 from repro.core.schema import ERR_NONE, SOURCE_MODEL
 from repro.core.scoring import (
     LEARNED_LOGPS,
@@ -92,20 +100,51 @@ def _missing_tracks(spark: SparkSession, prep: Prepared) -> DataFrame:
     )
 
 
+def _track_truth_columns() -> list[Column]:
+    """Per-track evaluation labels, as aggregate Columns over a track's
+    observations: the majority ground-truth object the track follows
+    (``maj_gt``), its majority class (``maj_cls``) and the fraction of
+    its predictions that are errors (``err_frac``). Only model
+    observations vote; ties take the lowest value."""
+    model = F.col("source") == SOURCE_MODEL
+    return [
+        F.mode(F.when(model, F.col("gt_track_id")), deterministic=True).alias("maj_gt"),
+        F.mode(F.when(model, F.col("cls")), deterministic=True).alias("maj_cls"),
+        F.avg(F.when(model, (F.col("err_type") != ERR_NONE).cast("double"))).alias("err_frac"),
+    ]
+
+
 def _track_truth(spark: SparkSession, prep: Prepared, tracked: DataFrame) -> DataFrame:
-    """Per-track evaluation labels of ``tracked``: the majority
-    ground-truth object the track follows, its error composition, and
-    whether that object is an injected missing track."""
+    """The :func:`_track_truth_columns` of every track of ``tracked``
+    with a model observation, and whether the object it follows is an
+    injected missing track."""
     model = tracked.where(F.col("source") == SOURCE_MODEL)
-    maj = model.groupBy("scene_id", "track_id").agg(
-        F.mode("gt_track_id", deterministic=True).alias("maj_gt"),
-        F.mode("cls", deterministic=True).alias("maj_cls"),
-        F.avg((F.col("err_type") != ERR_NONE).cast("double")).alias("err_frac"),
-    )
+    maj = model.groupBy("scene_id", "track_id").agg(*_track_truth_columns())
     miss = _missing_tracks(spark, prep).withColumnRenamed("gt_track_id", "maj_gt")
     return maj.join(
         miss.withColumn("is_missing", F.lit(True)), ["scene_id", "maj_gt"], "left"
     ).fillna({"is_missing": False})
+
+
+def _per_track(scored: DataFrame, logp_cols: Sequence[str]) -> DataFrame:
+    """One row per track of ``scored``: its component ``score`` and
+    ``n_factors`` over ``logp_cols``, the track statistics and the
+    evaluation labels, all from one aggregation."""
+    return score_components(
+        scored,
+        ["scene_id", "track_id"],
+        logp_cols,
+        extra_aggs=[*track_stat_columns(), *_track_truth_columns()],
+    )
+
+
+def _flag_missing(pdf: pd.DataFrame, prep: Prepared) -> pd.DataFrame:
+    """``pdf`` with ``is_error``: whether the object a track follows
+    (``scene_id``, ``maj_gt``) is an injected missing track."""
+    mt = prep.ds.manifest.missing_tracks
+    missing = set(zip(mt["scene_id"], mt["gt_track_id"]))
+    flags = [key in missing for key in zip(pdf["scene_id"], pdf["maj_gt"])]
+    return pdf.assign(is_error=np.array(flags, dtype=bool))
 
 
 def _dedupe_errors(pdf: pd.DataFrame) -> pd.DataFrame:
@@ -137,25 +176,28 @@ def _ma_ranked(ma_pdf: pd.DataFrame, col: str, ascending: bool) -> pd.DataFrame:
     return ma_pdf.assign(rank=rank.astype(int))
 
 
-def fixy_missing_track_candidates(prep: Prepared) -> DataFrame:
-    """The Fixy dataflow for the missing-track application (§7):
+def missing_track_scores(prep: Prepared) -> DataFrame:
+    """Every track of ``prep`` scored for the missing-track application
+    (§7) by mean ``ln p`` over the features volume + velocity (learned)
+    and distance (manual severity), one row per track as
+    :func:`_per_track` gives it."""
+    scored = with_distance_logp(with_feature_logps(with_distance(prep.tracked), prep.fd))
+    return _per_track(scored, (*LEARNED_LOGPS, "distance_logp"))
 
-    features volume + velocity (learned) and distance (manual severity);
+
+def fixy_missing_track_candidates(tracks: DataFrame) -> DataFrame:
+    """The Fixy ranking of :func:`missing_track_scores` ``tracks``: the
     AOF zeroes tracks containing any human proposal (implemented as a
     filter — ln 0 removes the component) and the *count* feature filters
     tracks with two or fewer observations; remaining model-only tracks
-    are scored by mean ``ln p`` and ranked per scene, highest first
-    ("consistent predictions from the model are likely to be correct").
+    are ranked per scene, highest score first ("consistent predictions
+    from the model are likely to be correct").
     """
-    scored = with_distance_logp(with_feature_logps(with_distance(prep.tracked), prep.fd))
-    tscores = score_components(
-        scored, ["scene_id", "track_id"], (*LEARNED_LOGPS, "distance_logp")
+    return rank_components(
+        tracks.where(
+            (F.col("track_has_human") == 0) & (F.col("track_n_obs") >= MIN_TRACK_OBS)
+        )
     )
-    stats = track_stats(prep.tracked)
-    cand = tscores.join(stats, ["scene_id", "track_id"]).where(
-        (F.col("track_has_human") == 0) & (F.col("track_n_obs") >= MIN_TRACK_OBS)
-    )
-    return rank_components(cand)
 
 
 def run_missing_tracks_prepared(spark: SparkSession, prep: Prepared, name: str) -> dict:
@@ -168,9 +210,13 @@ def run_missing_tracks_prepared(spark: SparkSession, prep: Prepared, name: str) 
     the scene that failed audit. Also returns the §8.2 scene-level hit
     rate (fraction of scenes-with-errors whose top 10 contains a hit).
     """
-    truth = _track_truth(spark, prep, prep.tracked).withColumnRenamed("is_missing", "is_error")
-    fixy_pdf = fixy_missing_track_candidates(prep).join(truth, ["scene_id", "track_id"]).toPandas()
-    ma_pdf = consistency_candidates(prep.tracked).join(truth, ["scene_id", "track_id"]).toPandas()
+    tracks = missing_track_scores(prep).cache()
+    fixy_pdf = _flag_missing(fixy_missing_track_candidates(tracks).toPandas(), prep)
+    # The MA reads the same per-track rows. Every observation carries a
+    # distance factor, so score_components' n_factors > 0 filter drops
+    # none of the MA's candidates.
+    ma_pdf = _flag_missing(consistency_candidates(tracks).toPandas(), prep)
+    tracks.unpersist()
 
     if name == "internal":
         scenes = [INTERNAL_AUDIT_SCENE]
@@ -207,8 +253,7 @@ def run_recall(spark: SparkSession, prep: Prepared) -> dict:
     """Recall of Fixy on the exhaustively-audited internal scene: how
     many of its missing tracks appear "in the top 10 ranked errors
     per-class" (paper: 18 of 24 = 75%)."""
-    truth = _track_truth(spark, prep, prep.tracked)
-    cand = fixy_missing_track_candidates(prep).join(truth, ["scene_id", "track_id"])
+    cand = fixy_missing_track_candidates(missing_track_scores(prep))
     audit = cand.where(F.col("scene_id") == INTERNAL_AUDIT_SCENE)
     # Top 10 per class, ranked by score within (scene, class).
     w = Window.partitionBy("scene_id", "maj_cls").orderBy(
@@ -217,10 +262,9 @@ def run_recall(spark: SparkSession, prep: Prepared) -> dict:
     top = audit.withColumn("cls_rank", F.row_number().over(w)).where(
         F.col("cls_rank") <= 10
     )
-    found = {
-        int(r["maj_gt"])
-        for r in top.where(F.col("is_missing")).select("maj_gt").collect()
-    }
+    # Objects found: the ones the top tracks follow; the recall counts
+    # those that are injected missing tracks of the audited scene.
+    found = {int(r["maj_gt"]) for r in top.select("maj_gt").collect()}
     mt = prep.ds.manifest.missing_tracks
     injected = set(
         mt.loc[mt["scene_id"] == INTERNAL_AUDIT_SCENE, "gt_track_id"].astype(int)
@@ -349,17 +393,14 @@ def run_model_errors(spark: SparkSession, prep: Prepared) -> dict:
         .distinct()
     )
     scored = with_feature_logps(tracked, prep.fd, aof=aof_invert)
-    tscores = score_components(scored, ["scene_id", "track_id"])
-    stats = track_stats(tracked)
     cand = (
-        tscores.join(stats, ["scene_id", "track_id"])
+        _per_track(scored, LEARNED_LOGPS)
         .join(excluded.withColumn("_ex", F.lit(True)), ["scene_id", "track_id"], "left")
         .where(F.col("_ex").isNull() & (F.col("track_n_obs") >= MIN_TRACK_OBS))
     )
     # track_id is unique, so the ordering is total.
     fixy_top = (
-        cand.join(_track_truth(spark, prep, tracked), ["scene_id", "track_id"])
-        .withColumn("is_error", F.col("err_frac") > 0.5)
+        cand.withColumn("is_error", F.col("err_frac") > 0.5)
         .orderBy(F.desc("score"), F.asc("track_id"))
         .limit(10)
         .toPandas()

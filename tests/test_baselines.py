@@ -9,6 +9,7 @@ from repro.baselines.model_assertions import (
     multibox_flags,
 )
 from repro.baselines.uncertainty import rank_by_uncertainty
+from repro.core.features import track_stats
 from tests.util import make_obs_df
 
 
@@ -25,6 +26,11 @@ def _tracked(spark, rows):
     return df.join(tmap, "obs_id")
 
 
+def _candidates(spark, rows):
+    """The consistency MA's candidates among the tracks of ``rows``."""
+    return consistency_candidates(track_stats(_tracked(spark, rows)))
+
+
 class TestConsistencyCandidates:
     def test_model_only_tracks_selected(self, spark):
         rows = [
@@ -33,12 +39,12 @@ class TestConsistencyCandidates:
             {"obs_id": 2, "frame_id": 0, "source": "human", "track": "b", "cx": 30.0},
             {"obs_id": 3, "frame_id": 1, "source": "model", "track": "b", "cx": 30.0},
         ]
-        got = [r["track_id"] for r in consistency_candidates(_tracked(spark, rows)).collect()]
+        got = [r["track_id"] for r in _candidates(spark, rows).collect()]
         assert got == ["a"]
 
     def test_single_obs_tracks_excluded(self, spark):
         rows = [{"obs_id": 0, "source": "model", "track": "solo"}]
-        assert consistency_candidates(_tracked(spark, rows)).count() == 0
+        assert _candidates(spark, rows).count() == 0
 
     def test_rand_order_deterministic(self, spark):
         rows = [
@@ -46,9 +52,9 @@ class TestConsistencyCandidates:
             for i in range(9)
         ]
         a = {r["track_id"]: r["rand_order"]
-             for r in consistency_candidates(_tracked(spark, [dict(r) for r in rows])).collect()}
+             for r in _candidates(spark, [dict(r) for r in rows]).collect()}
         b = {r["track_id"]: r["rand_order"]
-             for r in consistency_candidates(_tracked(spark, [dict(r) for r in rows])).collect()}
+             for r in _candidates(spark, [dict(r) for r in rows]).collect()}
         assert a == b
 
 

@@ -115,6 +115,7 @@ class TestMaRanked:
     @pytest.mark.parametrize("reverse", [False, True])
     def test_confidence_tie_breaks_on_track_id(self, spark, partitions, reverse):
         from repro.baselines.model_assertions import consistency_candidates
+        from repro.core.features import track_stats
         from repro.eval import harness
 
         # Tracks b and a tie on mean confidence 0.8; c is less confident.
@@ -133,7 +134,7 @@ class TestMaRanked:
         old = spark.conf.get(key)
         spark.conf.set(key, str(partitions))
         try:
-            ma_pdf = consistency_candidates(tracked).toPandas()
+            ma_pdf = consistency_candidates(track_stats(tracked)).toPandas()
         finally:
             spark.conf.set(key, old)
         if reverse:

@@ -129,6 +129,14 @@ class TestScoreComponents:
         got = {r["gid"]: r for r in got}
         assert got["a"]["score"] == pytest.approx(-1.5)
 
+    def test_extra_aggregates_per_component(self, spark):
+        got = score_components(
+            self._scored_df(spark), ["gid"],
+            extra_aggs=[F.count("*").alias("rows"), F.min("volume_logp").alias("worst")],
+        )
+        got = {r["gid"]: (r["rows"], r["worst"], r["score"]) for r in got.collect()}
+        assert got == {"a": (3, -2.0, -2.0), "b": (2, -6.0, -4.0)}
+
     def test_oracle(self, spark):
         rng = np.random.default_rng(2)
         pdf = pd.DataFrame(

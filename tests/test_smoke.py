@@ -6,7 +6,10 @@ The experiments are replaced by canned dicts here; the real five-result
 pass at reduced scale runs once, in ``test_layout_invariance.py``
 (``test_default_results_shape``)."""
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -54,3 +57,16 @@ def test_paper_scale_records_results(spark, monkeypatch, tmp_path):
         # The committed results files: indent 2, no trailing newline.
         expected = json.dumps(result, indent=2, default=float)
         assert (tmp_path / f"{name}.json").read_text() == expected
+
+
+def test_reproduce_imports_from_any_directory(tmp_path):
+    """The entry point finds ``jobs`` from its own location, so it runs
+    from any working directory (``main`` is not called here)."""
+    script = Path(reproduce.__file__).resolve()
+    code = f"import runpy; runpy.run_path({str(script)!r}, run_name='reproduce')"
+    env = {**os.environ, "PYTHONPATH": str(script.parents[1] / "src")}
+    out = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr

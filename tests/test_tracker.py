@@ -1,9 +1,15 @@
 """Unit tests for cross-frame tracking (repro.association.tracker)."""
+import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
 from repro.association.bundler import assign_bundles
-from repro.association.tracker import assign_tracks
+from repro.association.tracker import (
+    DEFAULT_MAX_GAP,
+    TRACK_IOU_THRESHOLD,
+    _track_scene,
+    assign_tracks,
+)
 from tests.util import make_obs_df
 
 
@@ -113,3 +119,28 @@ class TestAssignTracks:
             rows.append({"obs_id": 2 * f + 1, "frame_id": f, "cy": -8.0, "cx": float(f)})
         t = _tracks(assign_tracks(_with_singleton_bundles(make_obs_df(spark, rows))))
         assert len(set(t.values())) == 2
+
+    def test_keeps_input_rows_and_columns(self, spark):
+        # Two scenes, singleton bundles as §8.4 passes them, and a column
+        # the tracker does not read.
+        rows = [
+            {"obs_id": 10 * s + f, "scene_id": scene, "frame_id": f, "cx": float(f) + 30.0 * s}
+            for s, scene in enumerate(("a", "b"))
+            for f in range(5)
+        ] + [{"obs_id": 99, "scene_id": "b", "frame_id": 2, "cx": -40.0}]
+        obs = _with_singleton_bundles(make_obs_df(spark, rows)).withColumn(
+            "note", F.concat(F.lit("n"), F.col("obs_id").cast("string"))
+        )
+        got = assign_tracks(obs)
+        assert got.dtypes == [*obs.dtypes, ("track_id", "string")]
+        got_pdf = got.toPandas().sort_values("obs_id", ignore_index=True)
+        assert got_pdf["track_id"].notna().all()
+        inp = obs.toPandas()
+        mapping = pd.concat(
+            _track_scene(g, TRACK_IOU_THRESHOLD, DEFAULT_MAX_GAP)
+            for _, g in inp.groupby("scene_id")
+        )
+        want = inp.merge(mapping, on=["scene_id", "bundle_id"]).sort_values(
+            "obs_id", ignore_index=True
+        )
+        pd.testing.assert_frame_equal(got_pdf, want)
