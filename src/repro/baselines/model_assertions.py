@@ -16,12 +16,14 @@ The paper's baselines (§8.2, §8.4):
   an observation that overlaps at least two other same-frame model
   boxes.
 
-The flags are DataFrame transforms over the tracked observation set;
-the consistency candidates are a filter over per-track aggregates.
+*appear* and *flicker* are predicates over one row per track carrying
+:func:`track_frame_columns`, as are the consistency candidates over the
+track statistics; only *multibox*, which compares same-frame boxes, is a
+DataFrame transform over the tracked observations.
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame
+from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
 from repro.association.iou import iou_expr
@@ -48,30 +50,30 @@ def consistency_candidates(tracks: DataFrame) -> DataFrame:
     ).withColumn("rand_order", F.xxhash64(F.col("track_id")))
 
 
-def appear_flags(obs_tracked: DataFrame) -> DataFrame:
-    """Tracks violating the *appear* assertion (<= 2 observations)."""
-    model = obs_tracked.where(F.col("source") == SOURCE_MODEL)
-    return (
-        model.groupBy("scene_id", "track_id")
-        .agg(F.countDistinct("frame_id").alias("n"))
-        .where(F.col("n") <= 2)
-        .select("scene_id", "track_id")
-    )
+def track_frame_columns() -> list[Column]:
+    """Per-track aggregates of the model's frame sequence, as aggregate
+    Columns over a track's observations: ``track_n_frames`` distinct
+    model frames and ``track_frame_span`` frames from the first to the
+    last. Only model observations count; a track without one has
+    ``track_n_frames`` 0 and a null span."""
+    frame = F.when(F.col("source") == SOURCE_MODEL, F.col("frame_id"))
+    return [
+        F.countDistinct(frame).alias("track_n_frames"),
+        (F.max(frame) - F.min(frame) + 1).alias("track_frame_span"),
+    ]
 
 
-def flicker_flags(obs_tracked: DataFrame) -> DataFrame:
-    """Tracks violating the *flicker* assertion: the model's frame
-    sequence has holes (appears, disappears, reappears)."""
-    model = obs_tracked.where(F.col("source") == SOURCE_MODEL)
-    return (
-        model.groupBy("scene_id", "track_id")
-        .agg(
-            F.countDistinct("frame_id").alias("n"),
-            (F.max("frame_id") - F.min("frame_id") + 1).alias("span"),
-        )
-        .where(F.col("span") > F.col("n"))
-        .select("scene_id", "track_id")
-    )
+def appear() -> Column:
+    """The *appear* assertion's violation over :func:`track_frame_columns`
+    rows: the model saw the track in at most two frames."""
+    return F.col("track_n_frames") <= 2
+
+
+def flicker() -> Column:
+    """The *flicker* assertion's violation over :func:`track_frame_columns`
+    rows: the model's frame sequence has holes (appears, disappears,
+    reappears)."""
+    return F.col("track_frame_span") > F.col("track_n_frames")
 
 
 def multibox_flags(obs_tracked: DataFrame) -> DataFrame:

@@ -18,14 +18,13 @@ from pyspark.sql import functions as F
 
 from repro.core.schema import SOURCE_MODEL
 
+#: The confidence the predictions are sampled around.
 DEFAULT_THRESHOLD = 0.5
 
 
-def rank_by_uncertainty(
-    obs: DataFrame, k: int, threshold: float = DEFAULT_THRESHOLD
-) -> pd.DataFrame:
-    """The ``k`` model predictions closest to ``threshold``, most
-    uncertain first.
+def rank_by_uncertainty(obs: DataFrame, k: int) -> pd.DataFrame:
+    """The ``k`` model predictions closest to :data:`DEFAULT_THRESHOLD`,
+    most uncertain first.
 
     Orders model observations by ``|confidence − threshold|`` ascending,
     ties broken by ``obs_id``, and collects the first ``k`` with their
@@ -35,7 +34,7 @@ def rank_by_uncertainty(
     """
     model = obs.where(F.col("source") == SOURCE_MODEL)
     top = (
-        model.withColumn("uncertainty", F.abs(F.col("confidence") - F.lit(threshold)))
+        model.withColumn("uncertainty", F.abs(F.col("confidence") - F.lit(DEFAULT_THRESHOLD)))
         .orderBy(F.asc("uncertainty"), F.asc("obs_id"))
         .limit(k)
         .toPandas()

@@ -18,10 +18,15 @@ paper's baselines, and returns a dict of the numbers the paper reports:
   up to 95%).
 
 The track-level drivers (Table 3, §8.2, §8.4) aggregate their scored
-observations per track once (:func:`_per_track`): the component score, the track statistics the
-AOFs and baselines read, and the track's evaluation labels come from
-one ``groupBy("scene_id", "track_id")``. Table 3 caches that frame and
-feeds both the Fixy ranking and the consistency MA from it.
+observations per track once (:func:`_per_track`): the component score,
+the track statistics the AOFs and baselines read, and the track's
+evaluation labels come from one ``groupBy("scene_id", "track_id")``.
+Table 3 caches that frame and feeds both the Fixy ranking and the
+consistency MA from it; §8.4 adds the model's frame columns to the same
+aggregate, so its appear and flicker MAs are predicates over its rows.
+§8.3 filters the tracked observations with row predicates and scores
+per bundle. Truth labels are manifest lookups on the driver
+(:func:`_in_manifest`) over the few collected candidate rows.
 """
 from __future__ import annotations
 
@@ -36,15 +41,16 @@ from pyspark.sql import functions as F
 from repro.association.bundler import assign_bundles, overlapping_model_obs
 from repro.association.tracker import assign_tracks
 from repro.baselines.model_assertions import (
-    appear_flags,
+    appear,
     consistency_candidates,
-    flicker_flags,
+    flicker,
     multibox_flags,
+    track_frame_columns,
 )
 from repro.baselines.uncertainty import rank_by_uncertainty
 from repro.core.distributions import FeatureDistributions, learn_feature_distributions
 from repro.core.factor_graph import aof_invert
-from repro.core.features import track_stat_columns, track_stats, with_distance
+from repro.core.features import track_stat_columns, with_distance
 from repro.core.schema import ERR_NONE, SOURCE_MODEL
 from repro.core.scoring import (
     LEARNED_LOGPS,
@@ -92,14 +98,6 @@ def prepare(spark: SparkSession, name: str, scale: float = 1.0) -> Prepared:
 # --------------------------------------------------------------------
 
 
-def _missing_tracks(spark: SparkSession, prep: Prepared) -> DataFrame:
-    """The manifest's injected missing tracks as ``(scene_id, gt_track_id)``."""
-    mt = prep.ds.manifest.missing_tracks
-    return spark.createDataFrame(
-        mt[["scene_id", "gt_track_id"]], schema="scene_id string, gt_track_id long"
-    )
-
-
 def _track_truth_columns() -> list[Column]:
     """Per-track evaluation labels, as aggregate Columns over a track's
     observations: the majority ground-truth object the track follows
@@ -114,37 +112,35 @@ def _track_truth_columns() -> list[Column]:
     ]
 
 
-def _track_truth(spark: SparkSession, prep: Prepared, tracked: DataFrame) -> DataFrame:
-    """The :func:`_track_truth_columns` of every track of ``tracked``
-    with a model observation, and whether the object it follows is an
-    injected missing track."""
-    model = tracked.where(F.col("source") == SOURCE_MODEL)
-    maj = model.groupBy("scene_id", "track_id").agg(*_track_truth_columns())
-    miss = _missing_tracks(spark, prep).withColumnRenamed("gt_track_id", "maj_gt")
-    return maj.join(
-        miss.withColumn("is_missing", F.lit(True)), ["scene_id", "maj_gt"], "left"
-    ).fillna({"is_missing": False})
-
-
-def _per_track(scored: DataFrame, logp_cols: Sequence[str]) -> DataFrame:
+def _per_track(
+    scored: DataFrame, logp_cols: Sequence[str], extra_aggs: Sequence[Column] = ()
+) -> DataFrame:
     """One row per track of ``scored``: its component ``score`` and
-    ``n_factors`` over ``logp_cols``, the track statistics and the
-    evaluation labels, all from one aggregation."""
+    ``n_factors`` over ``logp_cols``, the track statistics, the
+    evaluation labels and ``extra_aggs``, all from one aggregation."""
     return score_components(
         scored,
         ["scene_id", "track_id"],
         logp_cols,
-        extra_aggs=[*track_stat_columns(), *_track_truth_columns()],
+        extra_aggs=[*track_stat_columns(), *_track_truth_columns(), *extra_aggs],
     )
+
+
+def _in_manifest(table: pd.DataFrame, **keys: pd.Series) -> np.ndarray:
+    """Whether each row of ``keys``, aligned Series named after columns
+    of the manifest ``table``, is a row of ``table`` on those columns.
+    Ghosts carry a negative ``gt_track_id`` and match no row."""
+    known = set(zip(*(table[c] for c in keys)))
+    return np.array([key in known for key in zip(*keys.values())], dtype=bool)
 
 
 def _flag_missing(pdf: pd.DataFrame, prep: Prepared) -> pd.DataFrame:
     """``pdf`` with ``is_error``: whether the object a track follows
     (``scene_id``, ``maj_gt``) is an injected missing track."""
     mt = prep.ds.manifest.missing_tracks
-    missing = set(zip(mt["scene_id"], mt["gt_track_id"]))
-    flags = [key in missing for key in zip(pdf["scene_id"], pdf["maj_gt"])]
-    return pdf.assign(is_error=np.array(flags, dtype=bool))
+    return pdf.assign(
+        is_error=_in_manifest(mt, scene_id=pdf["scene_id"], gt_track_id=pdf["maj_gt"])
+    )
 
 
 def _dedupe_errors(pdf: pd.DataFrame) -> pd.DataFrame:
@@ -281,21 +277,28 @@ def run_recall(spark: SparkSession, prep: Prepared) -> dict:
 # --------------------------------------------------------------------
 
 
-def run_missing_obs(spark: SparkSession, prep: Prepared) -> dict:
-    """Rank of the injected missing-observation-within-a-track.
+def missing_obs_scores(prep: Prepared) -> DataFrame:
+    """The §8.3 candidate bundles of ``prep``, one row per bundle with
+    its ``score`` over volume + velocity and the ``gt_track_id`` of its
+    one model observation.
 
     AOF (§8.3): zero the probability of observations in bundles with a
-    human proposal, and of tracks without any human proposal — both are
-    filters. Remaining model-only bundles inside human-containing
-    tracks are ranked by likelihood, dataset-wide.
+    human proposal, and of tracks without any human proposal; both are
+    row predicates. Features are computed on the full tracked frame, as
+    the velocity window needs each track's predecessors.
     """
-    scored = with_feature_logps(prep.tracked, prep.fd)
-    stats = track_stats(prep.tracked)
-    human_tracks = stats.where(F.col("track_has_human") == 1).select(
-        "scene_id", "track_id"
+    model = F.col("source") == SOURCE_MODEL
+    track = Window.partitionBy("scene_id", "track_id")
+    tracked = prep.tracked.withColumn(
+        "_track_has_human", F.max((~model).cast("int")).over(track)
     )
-    bundle_has_human = prep.tracked.groupBy("scene_id", "bundle_id").agg(
-        F.max((F.col("source") != SOURCE_MODEL).cast("int")).alias("bh")
+    # assign_bundles gives an observation its own id as bundle id exactly
+    # when no human joined its bundle, so such a model row is a bundle of
+    # its own without a human proposal. The weak-overlap filter below
+    # drops matched rows too, but only after the features are scored;
+    # these predicates run before the UDF.
+    cand = with_feature_logps(tracked, prep.fd).where(
+        model & (F.col("bundle_id") == F.col("obs_id")) & (F.col("_track_has_human") == 1)
     )
     # "Bundle with a human proposal" is interpreted at any overlap, not
     # just the 0.5 association threshold: a model box that grazes a
@@ -303,40 +306,35 @@ def run_missing_obs(spark: SparkSession, prep: Prepared) -> dict:
     # already-matched label) is evidence the object *is* labeled, so the
     # AOF zeroes it; a genuinely missing observation has no human box
     # anywhere near it in that frame.
-    weak = overlapping_model_obs(prep.tracked)
-    cand_obs = (
-        scored.join(human_tracks, ["scene_id", "track_id"])
-        .join(bundle_has_human, ["scene_id", "bundle_id"])
-        .where(F.col("bh") == 0)
-        .join(weak, "obs_id", "left_anti")
+    cand = cand.join(overlapping_model_obs(prep.tracked), "obs_id", "left_anti")
+    return score_components(
+        cand,
+        ["scene_id", "track_id", "frame_id", "bundle_id"],
+        extra_aggs=[F.max("gt_track_id").alias("gt_track_id")],
     )
-    bscores = score_components(cand_obs, ["scene_id", "track_id", "frame_id", "bundle_id"])
+
+
+def run_missing_obs(spark: SparkSession, prep: Prepared) -> dict:
+    """Rank of the injected missing-observation-within-a-track: the
+    :func:`missing_obs_scores` bundles ranked by likelihood,
+    dataset-wide."""
+    pdf = missing_obs_scores(prep).select(
+        "scene_id", "bundle_id", "frame_id", "gt_track_id", "score"
+    ).toPandas()
+    man = prep.ds.manifest
     # Truth: the bundle holds the model observation of the dropped frame.
-    mo = prep.ds.manifest.missing_obs
-    miss = spark.createDataFrame(
-        mo, schema="scene_id string, gt_track_id long, frame_id int"
-    ).withColumn("is_error", F.lit(True))
+    mo = man.missing_obs
+    pdf["is_error"] = _in_manifest(
+        mo, scene_id=pdf["scene_id"], gt_track_id=pdf["gt_track_id"], frame_id=pdf["frame_id"]
+    )
     # Observations of *whole-missing* objects can leak into this pool
     # when their model track chains onto a neighbouring labeled track:
     # they are genuine labeling errors, but of the §8.2 missing-track
     # kind, so they are reported separately rather than counted as
     # false positives here.
-    miss_tracks = _missing_tracks(spark, prep).withColumn("from_missing_track", F.lit(True))
-    flagged = (
-        bscores.join(
-            prep.tracked.where(F.col("source") == SOURCE_MODEL).select(
-                "scene_id", "bundle_id", "gt_track_id"
-            ),
-            ["scene_id", "bundle_id"],
-        )
-        .join(miss, ["scene_id", "gt_track_id", "frame_id"], "left")
-        .join(miss_tracks, ["scene_id", "gt_track_id"], "left")
-        .fillna({"is_error": False, "from_missing_track": False})
+    leaks = _in_manifest(
+        man.missing_tracks, scene_id=pdf["scene_id"], gt_track_id=pdf["gt_track_id"]
     )
-    pdf = flagged.select(
-        "scene_id", "bundle_id", "score", "is_error", "from_missing_track"
-    ).toPandas()
-    leaks = pdf["from_missing_track"]
     clean = (
         pdf[~leaks]
         .sort_values(["score", "bundle_id"], ascending=[False, True])
@@ -373,11 +371,7 @@ def run_model_errors(spark: SparkSession, prep: Prepared) -> dict:
     feature, ranking the most implausible first. Compared against
     uncertainty sampling over the raw predictions.
     """
-    scene_ids = [
-        r["scene_id"]
-        for r in prep.ds.eval_obs.select("scene_id").distinct().orderBy("scene_id")
-        .limit(MODEL_ERROR_SCENES).collect()
-    ]
+    scene_ids = prep.ds.cfg.world.scene_ids[:MODEL_ERROR_SCENES]
     model_obs = prep.ds.eval_obs.where(
         (F.col("source") == SOURCE_MODEL) & F.col("scene_id").isin(scene_ids)
     )
@@ -386,17 +380,11 @@ def run_model_errors(spark: SparkSession, prep: Prepared) -> dict:
     tracked = assign_tracks(model_obs.withColumn("bundle_id", F.col("obs_id")))
     tracked = tracked.cache()
 
-    excluded = (
-        appear_flags(tracked)
-        .unionByName(flicker_flags(tracked))
-        .unionByName(multibox_flags(tracked))
-        .distinct()
-    )
     scored = with_feature_logps(tracked, prep.fd, aof=aof_invert)
     cand = (
-        _per_track(scored, LEARNED_LOGPS)
-        .join(excluded.withColumn("_ex", F.lit(True)), ["scene_id", "track_id"], "left")
-        .where(F.col("_ex").isNull() & (F.col("track_n_obs") >= MIN_TRACK_OBS))
+        _per_track(scored, LEARNED_LOGPS, track_frame_columns())
+        .where(~appear() & ~flicker() & (F.col("track_n_obs") >= MIN_TRACK_OBS))
+        .join(multibox_flags(tracked), ["scene_id", "track_id"], "left_anti")
     )
     # track_id is unique, so the ordering is total.
     fixy_top = (

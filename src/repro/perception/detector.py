@@ -146,8 +146,7 @@ def _make_ghosts(
     classes = [s.name for s in world_cfg.class_specs]
     spec_by_name = {s.name: s for s in world_cfg.class_specs}
     ghost_uid = 0
-    for si in range(world_cfg.n_scenes):
-        scene_id = f"{world_cfg.scene_prefix}-{si:04d}"
+    for scene_id in world_cfg.scene_ids:
         n_ghosts = int(rng.integers(cfg.ghosts_range[0], cfg.ghosts_range[1] + 1))
         for _ in range(n_ghosts):
             ghost_uid += 1

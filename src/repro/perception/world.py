@@ -61,7 +61,7 @@ class WorldConfig:
             §8.1 — we vary rate and scene length).
         objects_range: (lo, hi) objects per scene, inclusive.
         area_halfwidth_m: objects spawn within ±this of the AV.
-        scene_prefix: scene ids are ``f"{scene_prefix}-{i:04d}"``.
+        scene_prefix: prefix of the :attr:`scene_ids`.
         seed: numpy seed; everything derives deterministically from it.
         class_specs: per-class geometry/kinematics.
     """
@@ -78,6 +78,11 @@ class WorldConfig:
     @property
     def n_frames(self) -> int:
         return int(round(self.duration_s * self.hz))
+
+    @property
+    def scene_ids(self) -> list[str]:
+        """The scene ids ``f"{scene_prefix}-{i:04d}"``, in generation order."""
+        return [f"{self.scene_prefix}-{i:04d}" for i in range(self.n_scenes)]
 
 
 #: Ground-truth frame columns produced by :func:`generate_world`.
@@ -115,8 +120,7 @@ def generate_world(cfg: WorldConfig) -> pd.DataFrame:
     dt = 1.0 / cfg.hz
     frames = np.arange(cfg.n_frames)
     out: list[pd.DataFrame] = []
-    for si in range(cfg.n_scenes):
-        scene_id = f"{cfg.scene_prefix}-{si:04d}"
+    for si, scene_id in enumerate(cfg.scene_ids):
         n_obj = int(rng.integers(cfg.objects_range[0], cfg.objects_range[1] + 1))
         cls_idx = rng.choice(len(specs), size=n_obj, p=weights)
         for oi in range(n_obj):

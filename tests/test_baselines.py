@@ -2,11 +2,13 @@
 import pytest
 from pyspark.sql import functions as F
 
+from repro.baselines import uncertainty
 from repro.baselines.model_assertions import (
-    appear_flags,
+    appear,
     consistency_candidates,
-    flicker_flags,
+    flicker,
     multibox_flags,
+    track_frame_columns,
 )
 from repro.baselines.uncertainty import rank_by_uncertainty
 from repro.core.features import track_stats
@@ -58,6 +60,13 @@ class TestConsistencyCandidates:
         assert a == b
 
 
+def _flagged(spark, rows, predicate):
+    """The tracks of ``rows`` whose :func:`track_frame_columns` row
+    violates ``predicate``."""
+    tracks = _tracked(spark, rows).groupBy("scene_id", "track_id").agg(*track_frame_columns())
+    return {r["track_id"] for r in tracks.where(predicate).collect()}
+
+
 class TestAppearFlicker:
     def test_appear_flags_short_tracks(self, spark):
         rows = [
@@ -67,8 +76,7 @@ class TestAppearFlicker:
             {"obs_id": 3, "frame_id": 1, "track": "long"},
             {"obs_id": 4, "frame_id": 2, "track": "long"},
         ]
-        got = {r["track_id"] for r in appear_flags(_tracked(spark, rows)).collect()}
-        assert got == {"short"}
+        assert _flagged(spark, rows, appear()) == {"short"}
 
     def test_flicker_flags_gappy_tracks(self, spark):
         rows = [
@@ -77,8 +85,7 @@ class TestAppearFlicker:
             {"obs_id": 2, "frame_id": 0, "track": "solid"},
             {"obs_id": 3, "frame_id": 1, "track": "solid"},
         ]
-        got = {r["track_id"] for r in flicker_flags(_tracked(spark, rows)).collect()}
-        assert got == {"gappy"}
+        assert _flagged(spark, rows, flicker()) == {"gappy"}
 
     def test_flicker_ignores_human_rows(self, spark):
         # The assertion audits model predictions; human gaps don't count.
@@ -86,7 +93,7 @@ class TestAppearFlicker:
             {"obs_id": 0, "frame_id": 0, "source": "human", "track": "t"},
             {"obs_id": 1, "frame_id": 2, "source": "human", "track": "t"},
         ]
-        assert flicker_flags(_tracked(spark, rows)).count() == 0
+        assert _flagged(spark, rows, flicker()) == set()
 
 
 class TestMultibox:
@@ -136,12 +143,13 @@ class TestUncertainty:
         assert list(got["obs_id"]) == [0, 1]
         assert list(got["rank"]) == [1, 2]
 
-    def test_custom_threshold(self, spark):
+    def test_custom_threshold(self, spark, monkeypatch):
         rows = [
             {"obs_id": 0, "confidence": 0.9},
             {"obs_id": 1, "confidence": 0.5},
         ]
-        got = rank_by_uncertainty(make_obs_df(spark, rows), 10, threshold=0.9)
+        monkeypatch.setattr(uncertainty, "DEFAULT_THRESHOLD", 0.9)
+        got = rank_by_uncertainty(make_obs_df(spark, rows), 10)
         assert got["obs_id"].iloc[0] == 0
 
     def test_human_rows_excluded(self, spark):

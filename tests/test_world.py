@@ -27,6 +27,7 @@ class TestGenerateWorld:
         assert set(world["scene_id"].unique()) == {
             "scene-0000", "scene-0001", "scene-0002"
         }
+        assert sorted(world["scene_id"].unique()) == CFG.scene_ids
 
     def test_object_count_in_range(self, world):
         per_scene = world.groupby("scene_id")["gt_track_id"].nunique()
